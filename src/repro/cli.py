@@ -487,16 +487,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument("--cache-dir", default=None)
     cluster.add_argument(
-        "--replication", type=int, default=2,
-        help="ring successors eligible to serve a hot fingerprint "
-             "(default 2)",
-    )
-    cluster.add_argument(
-        "--hot-threshold", type=int, default=8,
-        help="requests per window promoting a fingerprint to hot "
-             "(default 8)",
-    )
-    cluster.add_argument(
         "--max-pending", type=int, default=256,
         help="coordinator-wide in-flight forwards before 429 "
              "(default 256)",
@@ -523,7 +513,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     loadgen = sub.add_parser(
-        "loadgen", help="benchmark a running allocation service"
+        "loadgen",
+        help="benchmark a running allocation service or cluster "
+             "coordinator",
     )
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=8077)
@@ -550,17 +542,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-out", default=None,
         help="record client-side per-request spans and write a Chrome "
              "trace-event JSON here",
-    )
-    loadgen.add_argument(
-        "--shards", type=int, default=None,
-        help="target is a cluster coordinator with this many shards: "
-             "verify via /v1/cluster/healthz, record per-shard stats, "
-             "and run an in-run single-server baseline for comparison",
-    )
-    loadgen.add_argument(
-        "--baseline-jobs", type=int, default=2,
-        help="executor workers for the sharded-mode baseline server "
-             "(default 2)",
     )
     loadgen.add_argument(
         "--retries", type=int, default=0,
@@ -1069,8 +1050,6 @@ def _dispatch(args) -> int:
             host=args.host,
             port=args.port,
             shards=tuple(args.shard_addr),
-            replication=args.replication,
-            hot_threshold=args.hot_threshold,
             max_pending=args.max_pending,
             request_timeout_s=args.timeout,
             announce=True,
@@ -1111,8 +1090,6 @@ def _dispatch(args) -> int:
             timeout=args.timeout,
             verify=not args.no_verify,
             trace_out=args.trace_out,
-            shards=args.shards,
-            baseline_jobs=args.baseline_jobs,
             rule=_make_stopping_rule(args),
             retries=args.retries,
         )

@@ -17,11 +17,14 @@ The package layers, bottom up:
 * :mod:`repro.service.server` — the service itself: routing, result
   memo + :class:`repro.engine.cache.DiskCache` reuse, metrics,
   graceful drain;
-* :mod:`repro.service.client` — sync and async client libraries;
+* :mod:`repro.service.client` — the one HTTP client: a keep-alive
+  connection pool, an async client with the one retry loop, and a thin
+  sync wrapper;
 * :mod:`repro.service.loadgen` — the load-generator benchmark behind
-  ``repro loadgen``;
-* :mod:`repro.service.cluster` — the scale-out tier: a consistent-hash
-  routing coordinator over N shard servers (``repro cluster``).
+  ``repro loadgen``, against one server or a cluster coordinator;
+* :mod:`repro.service.cluster` — the scale-out tier: a stateless
+  coordinator routing raw request bodies over N shard servers on a
+  consistent hash ring (``repro cluster``).
 """
 
 from .client import AsyncServiceClient, ServiceClient, ServiceError

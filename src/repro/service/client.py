@@ -1,24 +1,38 @@
-"""Client library for the allocation service.
+"""Client library for the allocation service: the one HTTP client in
+``repro``.
 
-Two clients share one request surface:
+The layers, bottom up:
 
-* :class:`ServiceClient` — synchronous, one ``http.client`` connection
-  per call; the convenient choice for scripts and tests.
-* :class:`AsyncServiceClient` — a persistent keep-alive connection on
-  asyncio streams; what :mod:`repro.service.loadgen` drives hundreds
-  of concurrent requests through.
+* :class:`HttpConnection` — one keep-alive HTTP/1.1 connection on
+  asyncio streams, raw bytes in and out (``Content-Length`` framing
+  only, mirroring :mod:`repro.service.httpd`);
+* :class:`ConnectionPool` — a bounded set of those connections to one
+  server, reused across requests.  A keep-alive connection can go
+  stale between requests (the server restarted or closed it idle), so
+  a *reused* connection failing on first use is retried once on a
+  fresh socket; only a fresh connection's failure propagates.  The
+  cluster coordinator forwards through one pool per shard, bytes
+  verbatim;
+* :class:`AsyncServiceClient` — JSON requests over a one-connection
+  pool, and :meth:`~AsyncServiceClient.request_with_retries`, the one
+  retry loop; what :mod:`repro.service.loadgen` drives hundreds of
+  concurrent requests through;
+* :class:`ServiceClient` — a thin synchronous wrapper for scripts and
+  tests: each call runs the async core on its own event loop, over
+  one connection per call.
 
-Both return decoded JSON payloads.  Non-2xx responses raise
-:class:`ServiceError` carrying the HTTP status, the server's error
-type/message, and ``retry_after`` when the server asked to back off
-(429).  The ``*_raw`` variants return ``(status, payload)`` without
-raising — the load generator uses those to count expected failures.
+Responses decode as JSON.  :class:`ServiceClient`'s high-level calls
+raise :class:`ServiceError` on non-2xx, carrying the HTTP status, the
+server's error type/message, and ``retry_after`` when the server asked
+to back off (429); the ``request_raw`` and ``request_with_retries``
+variants return the status instead of raising, which is how the load
+generator counts expected failures.
 
-With ``retries`` > 0, the high-level call surfaces retry shed load
-(429) and drain/failover blips (503, connection errors) with capped
-exponential backoff.  The server's ``Retry-After`` is honoured when
-present; otherwise the delay is ``base * 2**attempt`` (capped) with
-jitter drawn from a **seeded** ``random.Random`` — never the
+With ``retries`` > 0, the retry loop retries shed load (429) and
+drain/failover blips (503, connection errors) with capped exponential
+backoff.  The server's ``Retry-After`` is honoured when present;
+otherwise the delay is ``base * 2**attempt`` (capped) with jitter drawn
+from the client's own **seeded** ``random.Random`` — never the
 module-level ``random`` state — so loadgen plans and test runs stay
 reproducible end to end.
 """
@@ -26,17 +40,25 @@ reproducible end to end.
 from __future__ import annotations
 
 import asyncio
-import http.client
 import json
 import random
 import time
-from typing import Any, Dict, Optional, Tuple
+from collections import deque
+from typing import Any, Awaitable, Deque, Dict, Optional, Tuple, TypeVar
 
 from ..sim.schemes import Scheme
 from .protocol import scheme_to_json
 
+#: Matches the server's stream read limit.
+_READ_LIMIT = 64 * 1024
+
 #: Statuses worth retrying: shed load and not-yet/no-longer-available.
 RETRYABLE_STATUSES = (429, 503)
+
+#: ``(status, lower-cased response headers, body bytes)``.
+RawResponse = Tuple[int, Dict[str, str], bytes]
+
+_T = TypeVar("_T")
 
 
 def backoff_delay(
@@ -57,6 +79,189 @@ def backoff_delay(
         return max(0.0, min(float(retry_after), cap_s))
     window = min(cap_s, base_s * (2.0 ** attempt))
     return window * (0.5 + 0.5 * rng.random())
+
+
+class HttpConnection:
+    """One keep-alive HTTP/1.1 connection."""
+
+    __slots__ = ("host", "port", "_reader", "_writer")
+
+    def __init__(self, host: str, port: int) -> None:
+        self.host = host
+        self.port = port
+        self._reader: Optional[asyncio.StreamReader] = None
+        self._writer: Optional[asyncio.StreamWriter] = None
+
+    async def open(self, timeout: float) -> None:
+        self._reader, self._writer = await asyncio.wait_for(
+            asyncio.open_connection(
+                self.host, self.port, limit=_READ_LIMIT
+            ),
+            timeout,
+        )
+
+    @property
+    def closed(self) -> bool:
+        return self._writer is None or self._writer.is_closing()
+
+    def close(self) -> None:
+        if self._writer is not None:
+            try:
+                self._writer.close()
+            except Exception:
+                pass
+        self._reader = self._writer = None
+
+    async def request(
+        self,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        headers: Optional[Dict[str, str]] = None,
+    ) -> RawResponse:
+        """One exchange.  Every transport or framing failure raises
+        ``ConnectionError`` (an ``OSError``), which the pool maps to its
+        stale-connection retry.
+
+        ``headers`` adds extra request headers (e.g. the trace-context
+        carrier); names/values must be latin-1-encodable.
+        """
+        assert self._reader is not None and self._writer is not None
+        extra = "".join(
+            f"{name}: {value}\r\n"
+            for name, value in (headers or {}).items()
+        )
+        head = (
+            f"{method} {path} HTTP/1.1\r\n"
+            f"Host: {self.host}:{self.port}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n"
+            f"{extra}"
+            "\r\n"
+        ).encode("latin-1")
+        self._writer.write(head + body)
+        await self._writer.drain()
+        try:
+            status_line = await self._reader.readline()
+            if not status_line:
+                raise ConnectionError("server closed connection")
+            status = int(status_line.split(b" ", 2)[1])
+            response_headers: Dict[str, str] = {}
+            while True:
+                line = await self._reader.readline()
+                if line in (b"\r\n", b"\n"):
+                    break
+                if not line:
+                    raise ConnectionError("server closed mid-headers")
+                name, _, value = line.decode("latin-1").partition(":")
+                response_headers[name.strip().lower()] = value.strip()
+            length = int(response_headers.get("content-length", "0"))
+            payload = (
+                await self._reader.readexactly(length) if length else b""
+            )
+        except (asyncio.IncompleteReadError, IndexError, ValueError) as error:
+            raise ConnectionError(
+                f"malformed or truncated response: {error!r}"
+            ) from None
+        if response_headers.get("connection", "").lower() == "close":
+            self.close()
+        return status, response_headers, payload
+
+
+class ConnectionPool:
+    """Bounded pool of keep-alive connections to one server."""
+
+    def __init__(
+        self,
+        host: str,
+        port: int,
+        *,
+        max_connections: int = 32,
+        connect_timeout_s: float = 5.0,
+    ) -> None:
+        if max_connections < 1:
+            raise ValueError("max_connections must be at least 1")
+        self.host = host
+        self.port = port
+        self.connect_timeout_s = connect_timeout_s
+        self._capacity = asyncio.Semaphore(max_connections)
+        self._idle: Deque[HttpConnection] = deque()
+
+    async def _fresh(self) -> HttpConnection:
+        connection = HttpConnection(self.host, self.port)
+        await connection.open(self.connect_timeout_s)
+        return connection
+
+    def _checkout_idle(self) -> Optional[HttpConnection]:
+        while self._idle:
+            connection = self._idle.popleft()
+            if not connection.closed:
+                return connection
+        return None
+
+    async def connect(self) -> None:
+        """Open one connection ahead of the first request, so connect
+        latency never lands inside a measured exchange."""
+        async with self._capacity:
+            connection = self._checkout_idle() or await self._fresh()
+            self._idle.append(connection)
+
+    async def request(
+        self,
+        method: str,
+        path: str,
+        body: bytes = b"",
+        timeout: Optional[float] = None,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> RawResponse:
+        """One exchange on a pooled connection.
+
+        ``timeout`` bounds the exchange (the connection is torn down on
+        expiry so a half-read response never poisons the pool).
+        Transport errors on a reused connection retry once on a fresh
+        one; fresh-connection errors propagate.  ``headers`` pass
+        through to :meth:`HttpConnection.request`.
+        """
+        async with self._capacity:
+            connection = self._checkout_idle()
+            if connection is not None:
+                try:
+                    return await self._exchange(
+                        connection, method, path, body, timeout, headers
+                    )
+                except asyncio.TimeoutError:
+                    raise
+                except OSError:
+                    pass  # Stale keep-alive: one retry on a fresh socket.
+            return await self._exchange(
+                await self._fresh(), method, path, body, timeout, headers
+            )
+
+    async def _exchange(
+        self,
+        connection: HttpConnection,
+        method: str,
+        path: str,
+        body: bytes,
+        timeout: Optional[float],
+        headers: Optional[Dict[str, str]],
+    ) -> RawResponse:
+        """One exchange; the connection goes back to the idle set, or is
+        closed if the exchange failed, timed out or was cancelled."""
+        try:
+            response = await asyncio.wait_for(
+                connection.request(method, path, body, headers), timeout
+            )
+        except BaseException:
+            connection.close()
+            raise
+        if not connection.closed:
+            self._idle.append(connection)
+        return response
+
+    def close(self) -> None:
+        while self._idle:
+            self._idle.popleft().close()
 
 
 class ServiceError(Exception):
@@ -112,8 +317,8 @@ def _request_body(
     return body
 
 
-class ServiceClient:
-    """Synchronous client: one connection per call, no dependencies."""
+class AsyncServiceClient:
+    """JSON requests over one pooled keep-alive connection."""
 
     def __init__(
         self,
@@ -126,71 +331,135 @@ class ServiceClient:
         backoff_cap_s: float = 2.0,
         backoff_seed: int = 0,
     ) -> None:
-        self.host = host
-        self.port = port
         self.timeout = timeout
         self.retries = retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._rng = random.Random(backoff_seed)
-
-    def _delay(self, attempt: int, retry_after: Optional[float]) -> float:
-        return backoff_delay(
-            attempt,
-            retry_after,
-            base_s=self.backoff_base_s,
-            cap_s=self.backoff_cap_s,
-            rng=self._rng,
+        self._pool = ConnectionPool(
+            host, port, max_connections=1, connect_timeout_s=timeout
         )
+
+    async def connect(self) -> None:
+        """Open the keep-alive connection eagerly (loadgen pre-warms
+        its connections so connect latency never lands inside a
+        measured phase)."""
+        await self._pool.connect()
+
+    async def close(self) -> None:
+        self._pool.close()
+
+    async def request_raw(
+        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
+    ) -> Tuple[int, Any]:
+        """One exchange; returns (status, decoded payload)."""
+        payload = (
+            json.dumps(body).encode("utf-8") if body is not None else b""
+        )
+        status, _, data = await self._pool.request(
+            method, path, payload, timeout=self.timeout
+        )
+        try:
+            return status, json.loads(data.decode("utf-8"))
+        except ValueError:
+            return status, {"raw": data.decode("utf-8", "replace")}
+
+    async def request_with_retries(
+        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
+    ) -> Tuple[int, Any, int]:
+        """Like :meth:`request_raw` with the retry loop applied.
+
+        Returns ``(status, payload, retries)`` without raising on HTTP
+        errors — the final status is returned even when it is a 4xx/5xx
+        — so callers (the load generator) can record how many times the
+        429/503 shed-load path was hit for one logical request.
+        Connection errors and timeouts still raise once retries are
+        exhausted.
+        """
+        attempt = 0
+        while True:
+            retry_after: Optional[float] = None
+            try:
+                status, payload = await self.request_raw(
+                    method, path, body
+                )
+            except (OSError, asyncio.TimeoutError):
+                if attempt >= self.retries:
+                    raise
+            else:
+                if (
+                    status not in RETRYABLE_STATUSES
+                    or attempt >= self.retries
+                ):
+                    return status, payload, attempt
+                retry_after = _error_from_payload(
+                    status, payload
+                ).retry_after
+            await asyncio.sleep(
+                backoff_delay(
+                    attempt,
+                    retry_after,
+                    base_s=self.backoff_base_s,
+                    cap_s=self.backoff_cap_s,
+                    rng=self._rng,
+                )
+            )
+            attempt += 1
+
+
+class ServiceClient:
+    """Synchronous wrapper over :class:`AsyncServiceClient`.
+
+    Each call runs the async core on a fresh event loop over one
+    connection, closed when the call returns.  The core — and with it
+    the seeded backoff RNG — lives as long as this client.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 8077,
+        timeout: float = 60.0,
+        *,
+        retries: int = 0,
+        backoff_base_s: float = 0.05,
+        backoff_cap_s: float = 2.0,
+        backoff_seed: int = 0,
+    ) -> None:
+        self.core = AsyncServiceClient(
+            host,
+            port,
+            timeout,
+            retries=retries,
+            backoff_base_s=backoff_base_s,
+            backoff_cap_s=backoff_cap_s,
+            backoff_seed=backoff_seed,
+        )
+
+    def _run(self, exchange: Awaitable[_T]) -> _T:
+        async def scoped() -> _T:
+            try:
+                return await exchange
+            finally:
+                await self.core.close()
+
+        return asyncio.run(scoped())
 
     def request_raw(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Tuple[int, Any]:
         """One HTTP exchange; returns (status, decoded payload)."""
-        connection = http.client.HTTPConnection(
-            self.host, self.port, timeout=self.timeout
-        )
-        try:
-            payload = (
-                json.dumps(body).encode("utf-8")
-                if body is not None
-                else None
-            )
-            headers = {"Content-Type": "application/json"}
-            connection.request(method, path, body=payload, headers=headers)
-            response = connection.getresponse()
-            data = response.read()
-            try:
-                decoded = json.loads(data.decode("utf-8"))
-            except ValueError:
-                decoded = {"raw": data.decode("utf-8", "replace")}
-            return response.status, decoded
-        finally:
-            connection.close()
+        return self._run(self.core.request_raw(method, path, body))
 
     def _call(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
     ) -> Any:
-        attempt = 0
-        while True:
-            retry_after: Optional[float] = None
-            try:
-                status, payload = self.request_raw(method, path, body)
-            except OSError:
-                if attempt >= self.retries:
-                    raise
-            else:
-                if status < 400:
-                    return payload
-                error = _error_from_payload(status, payload)
-                if (
-                    attempt >= self.retries
-                    or status not in RETRYABLE_STATUSES
-                ):
-                    raise error
-                retry_after = error.retry_after
-            time.sleep(self._delay(attempt, retry_after))
-            attempt += 1
+        status, payload, _ = self._run(
+            self.core.request_with_retries(method, path, body)
+        )
+        if status >= 400:
+            raise _error_from_payload(status, payload)
+        return payload
 
     def healthz(self) -> Dict[str, Any]:
         return self._call("GET", "/healthz")
@@ -200,6 +469,9 @@ class ServiceClient:
 
     def metrics(self) -> Dict[str, Any]:
         return self._call("GET", "/metrics")
+
+    def cluster_metrics(self) -> Dict[str, Any]:
+        return self._call("GET", "/v1/cluster/metrics")
 
     def allocate(
         self,
@@ -275,188 +547,7 @@ def wait_until_healthy(
         try:
             if client.healthz().get("status") in ("ok", "draining"):
                 return True
-        except (OSError, ServiceError, ValueError):
+        except (OSError, asyncio.TimeoutError, ServiceError, ValueError):
             pass
         time.sleep(interval)
     return False
-
-
-class AsyncServiceClient:
-    """Persistent keep-alive connection on raw asyncio streams."""
-
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 8077,
-        timeout: float = 60.0,
-        *,
-        retries: int = 0,
-        backoff_base_s: float = 0.05,
-        backoff_cap_s: float = 2.0,
-        backoff_seed: int = 0,
-    ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
-        self._rng = random.Random(backoff_seed)
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-
-    async def connect(self) -> None:
-        """Open the keep-alive connection eagerly (loadgen pre-warms
-        its connections so connect latency never lands inside a
-        measured phase)."""
-        await self._connect()
-
-    async def _connect(self) -> None:
-        if self._writer is None or self._writer.is_closing():
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port
-            )
-
-    async def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-            self._reader = self._writer = None
-
-    async def request_raw(
-        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
-    ) -> Tuple[int, Any]:
-        """One exchange on the persistent connection (reconnects once
-        if the server closed it between requests)."""
-        payload = (
-            json.dumps(body).encode("utf-8") if body is not None else b""
-        )
-        for attempt in (0, 1):
-            await self._connect()
-            try:
-                return await asyncio.wait_for(
-                    self._exchange(method, path, payload), self.timeout
-                )
-            except (
-                ConnectionError,
-                asyncio.IncompleteReadError,
-                OSError,
-            ):
-                await self.close()
-                if attempt:
-                    raise
-        raise RuntimeError("unreachable")
-
-    async def _exchange(
-        self, method: str, path: str, payload: bytes
-    ) -> Tuple[int, Any]:
-        assert self._reader is not None and self._writer is not None
-        head = (
-            f"{method} {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Content-Type: application/json\r\n"
-            f"Content-Length: {len(payload)}\r\n"
-            "\r\n"
-        ).encode("latin-1")
-        self._writer.write(head + payload)
-        await self._writer.drain()
-
-        status_line = await self._reader.readline()
-        if not status_line:
-            raise ConnectionError("server closed connection")
-        parts = status_line.decode("latin-1").split(" ", 2)
-        status = int(parts[1])
-        headers: Dict[str, str] = {}
-        while True:
-            line = await self._reader.readline()
-            if line in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0"))
-        body = await self._reader.readexactly(length) if length else b""
-        if headers.get("connection", "").lower() == "close":
-            await self.close()
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except ValueError:
-            decoded = {"raw": body.decode("utf-8", "replace")}
-        return status, decoded
-
-    async def request_with_retries(
-        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
-    ) -> Tuple[int, Any, int]:
-        """Like :meth:`request_raw` with the retry loop applied.
-
-        Returns ``(status, payload, retries)`` without raising on HTTP
-        errors — the final status is returned even when it is a 4xx/5xx
-        — so callers (the load generator) can record how many times the
-        429/503 shed-load path was hit for one logical request.
-        Connection errors still raise once retries are exhausted.
-        """
-        attempt = 0
-        while True:
-            retry_after: Optional[float] = None
-            try:
-                status, payload = await self.request_raw(
-                    method, path, body
-                )
-            except OSError:
-                if attempt >= self.retries:
-                    raise
-            else:
-                if (
-                    status not in RETRYABLE_STATUSES
-                    or attempt >= self.retries
-                ):
-                    return status, payload, attempt
-                retry_after = _error_from_payload(
-                    status, payload
-                ).retry_after
-            await asyncio.sleep(
-                backoff_delay(
-                    attempt,
-                    retry_after,
-                    base_s=self.backoff_base_s,
-                    cap_s=self.backoff_cap_s,
-                    rng=self._rng,
-                )
-            )
-            attempt += 1
-
-    async def call(
-        self, method: str, path: str, body: Optional[Dict[str, Any]] = None
-    ) -> Any:
-        attempt = 0
-        while True:
-            retry_after: Optional[float] = None
-            try:
-                status, payload = await self.request_raw(
-                    method, path, body
-                )
-            except OSError:
-                if attempt >= self.retries:
-                    raise
-            else:
-                if status < 400:
-                    return payload
-                error = _error_from_payload(status, payload)
-                if (
-                    attempt >= self.retries
-                    or status not in RETRYABLE_STATUSES
-                ):
-                    raise error
-                retry_after = error.retry_after
-            await asyncio.sleep(
-                backoff_delay(
-                    attempt,
-                    retry_after,
-                    base_s=self.backoff_base_s,
-                    cap_s=self.backoff_cap_s,
-                    rng=self._rng,
-                )
-            )
-            attempt += 1

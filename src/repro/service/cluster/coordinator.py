@@ -1,50 +1,41 @@
-"""The cluster coordinator: a routing front tier over N shards.
+"""The cluster coordinator: a stateless router over N shards.
 
 Requests flow::
 
-    normalise/route-cache → admission → (front cache) → shard forward
+    admission → ring lookup on SHA-256(op, raw body) → shard forward
 
-* **Routing** — the request body is hashed once (SHA-256 of the raw
-  bytes); a bounded route cache maps ``(op, body-hash)`` to the
-  :class:`~repro.service.protocol.ServiceJob` content fingerprint (or
-  to the 4xx fault normalisation produced), so the expensive
-  normalise/parse work runs once per distinct body.  The fingerprint
-  then picks a shard on the consistent hash ring — each kernel's
-  memo/disk-cache entry lives on exactly one shard, so dedup hit
-  rates survive scale-out.
-* **Admission** — global backpressure (``max_pending`` forwards in
-  flight → 429 + ``Retry-After``) with per-shard queue-depth
-  awareness: a shard already carrying ``per_shard_pending`` forwards
-  sheds rather than queues.
-* **Failover** — forwards ride persistent keep-alive pools with a
-  per-request timeout; on transport failure or a shard-side 5xx the
-  (idempotent) job is retried once on the next shard in ring order,
-  and the failing shard is marked unhealthy until a background probe
-  sees it answer ``/healthz`` again.
-* **Hot keys** — fingerprints whose request rate crosses
-  ``hot_threshold`` per ``hot_window_s`` are replicated across
-  ``replication`` shards (round-robin among ring successors), and
-  their 200 responses enter a bounded LRU front cache served straight
-  from coordinator memory — hot-key skew stops funnelling through one
-  shard, and repeat traffic skips the forward hop entirely.  Front
-  cache hits are dedup hits: the response bytes are exactly what the
-  owning shard last returned.
+* **Routing** — each POST routes by SHA-256 of its op and raw body
+  bytes, straight onto the consistent hash ring.  The coordinator never
+  decodes or normalises a body: the owning shard does that once and
+  memoizes the result, so a repeated body always lands on the shard
+  that already holds it, and dedup hit rates survive scale-out.  A
+  shard's own 4xx (malformed JSON, an unknown benchmark, its 429 with
+  ``Retry-After``) passes through byte for byte.
+* **Admission** — global backpressure: ``max_pending`` forwards in
+  flight → 429 + ``Retry-After``.
+* **Failover** — forwards ride persistent keep-alive pools
+  (:class:`~repro.service.client.ConnectionPool`) with a per-request
+  timeout; on transport failure or a shard-side 5xx the (idempotent)
+  job is retried once on the next shard in ring order, and the failing
+  shard is marked unhealthy until a background probe sees it answer
+  ``/healthz`` again.
 
-``GET /v1/cluster/healthz`` rolls up per-shard health, uptime, and
-dedup counters; ``GET /metrics`` serves coordinator metrics as JSON or
-Prometheus text (counters carry a ``shard`` label where meaningful).
+``GET /v1/cluster/healthz`` probes every shard and rolls up their
+health; ``GET /v1/cluster/metrics`` serves each shard's metrics plus
+their exact aggregate (JSON, or Prometheus text with a ``shard``
+label); ``GET /metrics`` serves the coordinator's own metrics.
 """
 
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import json
 import signal
 import sys
 import threading
 import time
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ... import __version__
@@ -62,25 +53,10 @@ from ...obs.tracer import (
     carrier_from_header,
     carrier_to_header,
 )
+from ..client import ConnectionPool
 from ..httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
-from ..protocol import (
-    Draining,
-    Overloaded,
-    RequestTimeout,
-    ServiceFault,
-    normalize_request,
-)
+from ..protocol import Draining, Overloaded, RequestTimeout, ServiceFault
 from .ring import ConsistentHashRing
-from .transport import ShardPool, _RETRYABLE
-
-import hashlib
-
-#: Counters a shard exposes that the cluster rollup aggregates.
-SHARD_DEDUP_COUNTERS = (
-    "inflight_dedup_hits",
-    "service_memo_hits",
-    "service_disk_hits",
-)
 
 
 class NoShardAvailable(ServiceFault):
@@ -96,29 +72,14 @@ class ClusterConfig:
     port: int = 8078
     #: Shard addresses, ``host:port`` each, in stable index order.
     shards: Tuple[str, ...] = ()
-    #: Shards a *hot* fingerprint is spread across.
-    replication: int = 2
-    #: Requests per window that make a fingerprint hot.
-    hot_threshold: int = 8
-    hot_window_s: float = 1.0
-    #: How long a fingerprint stays hot after last crossing the rate.
-    hot_ttl_s: float = 30.0
-    #: Bounded LRU of hot 200-response bytes (0 disables).
-    front_cache_entries: int = 4096
-    #: Body sightings before a response is front-cache eligible.
-    front_cache_threshold: int = 2
     #: Global forwards in flight before 429.
     max_pending: int = 256
-    #: Forwards in flight on one shard before shedding.
-    per_shard_pending: int = 64
     request_timeout_s: float = 30.0
     connect_timeout_s: float = 5.0
     probe_interval_s: float = 1.0
     pool_connections: int = 32
     max_body_bytes: int = 1 << 20
     drain_grace_s: float = 30.0
-    #: Bounded LRU of (op, body-hash) → fingerprint/fault.
-    route_cache_entries: int = 8192
     announce: bool = False
 
 
@@ -128,7 +89,7 @@ class ShardState:
 
     index: int
     address: str
-    pool: ShardPool
+    pool: ConnectionPool
     healthy: bool = True
     consecutive_failures: int = 0
     last_error: Optional[str] = None
@@ -137,25 +98,12 @@ class ShardState:
     label: Optional[str] = None
     inflight: int = 0
     requests: int = 0
-    retries: int = 0
     errors: int = 0
     last_healthz: Optional[Dict[str, Any]] = None
 
     @property
     def display(self) -> str:
         return self.label or self.address
-
-
-@dataclass
-class _Route:
-    """Cached normalisation of one distinct request body."""
-
-    fingerprint: Optional[str] = None
-    fault: Optional[Tuple[int, str, str, Optional[float]]] = None
-    #: Total sightings of this body (front-cache eligibility).
-    seen: int = 0
-    #: Sliding-window hot tracking: [window_start, window_count].
-    window: List[float] = field(default_factory=lambda: [0.0, 0])
 
 
 class ClusterCoordinator:
@@ -175,21 +123,13 @@ class ClusterCoordinator:
             self.shards[address] = ShardState(
                 index=index,
                 address=address,
-                pool=ShardPool(
+                pool=ConnectionPool(
                     host or "127.0.0.1",
                     int(port_text),
                     max_connections=config.pool_connections,
                     connect_timeout_s=config.connect_timeout_s,
                 ),
             )
-        self._routes: "OrderedDict[Tuple[str, bytes], _Route]" = (
-            OrderedDict()
-        )
-        self._front: "OrderedDict[str, Tuple[int, str, bytes]]" = (
-            OrderedDict()
-        )
-        self._hot_until: Dict[str, float] = {}
-        self._hot_rr: Dict[str, int] = {}
         self._pending = 0
         self.draining = False
         self._http: Optional[AsyncHttpServer] = None
@@ -235,8 +175,7 @@ class ClusterCoordinator:
             print(
                 f"repro cluster coordinator on "
                 f"http://{self.config.host}:{self.port} "
-                f"({len(self.shards)} shards, "
-                f"replication={self.config.replication})",
+                f"({len(self.shards)} shards)",
                 file=sys.stderr,
                 flush=True,
             )
@@ -277,11 +216,14 @@ class ClusterCoordinator:
 
     async def _probe_loop(self) -> None:
         while True:
-            await asyncio.gather(
-                *(self._probe(shard) for shard in self.shards.values()),
-                return_exceptions=True,
-            )
+            await self._probe_all()
             await asyncio.sleep(self.config.probe_interval_s)
+
+    async def _probe_all(self) -> None:
+        await asyncio.gather(
+            *(self._probe(shard) for shard in self.shards.values()),
+            return_exceptions=True,
+        )
 
     async def _probe(self, shard: ShardState) -> None:
         try:
@@ -291,7 +233,8 @@ class ClusterCoordinator:
             if status != 200:
                 raise ConnectionError(f"healthz HTTP {status}")
             payload = json.loads(body.decode("utf-8"))
-        except (asyncio.TimeoutError, ValueError, *_RETRYABLE) as error:
+        except (asyncio.TimeoutError, ValueError, OSError) as error:
+            shard.last_healthz = None
             self._mark_failure(shard, f"{type(error).__name__}: {error}")
             return
         shard.last_healthz = payload
@@ -369,7 +312,7 @@ class ClusterCoordinator:
                         405, "method_not_allowed", f"{path} requires POST"
                     )
                 return await self._forward(
-                    path.rsplit("/", 1)[1], path, request
+                    path.rsplit("/", 1)[1], path, request.body
                 )
             return self._error_response(
                 404, "not_found", f"no route for {path}"
@@ -378,34 +321,10 @@ class ClusterCoordinator:
             return self._fault_response(fault)
 
     async def _forward(
-        self, op: str, path: str, request: HttpRequest
+        self, op: str, path: str, body: bytes
     ) -> HttpResponse:
         if self.draining:
             raise Draining("coordinator is draining; no new work accepted")
-        route = self._resolve_route(op, request.body)
-        if route.fault is not None:
-            status, error_type, message, retry_after = route.fault
-            self.metrics.count(f"http_{status}")
-            payload: Dict[str, Any] = {
-                "error": {"type": error_type, "message": message}
-            }
-            headers: Dict[str, str] = {}
-            if retry_after is not None:
-                payload["error"]["retry_after"] = retry_after
-                headers["Retry-After"] = f"{retry_after:g}"
-            return json_response(status, payload, headers)
-        fingerprint = route.fingerprint
-        assert fingerprint is not None
-        hot = self._note_request(route, fingerprint)
-
-        cached = self._front.get(fingerprint)
-        if cached is not None:
-            self._front.move_to_end(fingerprint)
-            self.metrics.count("cluster_front_cache_hits")
-            status, content_type, body = cached
-            self.metrics.count(f"http_{status}")
-            return HttpResponse(status, body, content_type=content_type)
-
         if self._pending >= self.config.max_pending:
             self.metrics.count("cluster_rejected_overload")
             raise Overloaded(
@@ -413,40 +332,17 @@ class ClusterCoordinator:
                 f"(limit {self.config.max_pending}); retry shortly",
                 retry_after=1.0,
             )
-        return await self._forward_to_shards(
-            op, path, request.body, route, fingerprint, hot
-        )
-
-    async def _forward_to_shards(
-        self,
-        op: str,
-        path: str,
-        body: bytes,
-        route: _Route,
-        fingerprint: str,
-        hot: bool,
-    ) -> HttpResponse:
         assert self._loop is not None
         deadline = self._loop.time() + self.config.request_timeout_s
-        targets = self._targets(fingerprint, hot)
-        shed: Optional[Overloaded] = None
+        key = hashlib.sha256(op.encode("utf-8") + b"\0" + body).hexdigest()
         attempts = 0
-        for shard in targets:
-            if attempts >= 2:
-                break
-            if shard.inflight >= self.config.per_shard_pending:
-                # Queue-depth awareness: a saturated shard sheds; a
-                # replicated key may still land on a quieter replica.
-                shed = Overloaded(
-                    f"shard {shard.display} at per-shard pending limit "
-                    f"({self.config.per_shard_pending}); retry shortly",
-                    retry_after=1.0,
-                )
-                continue
-            attempts += 1
+        for shard in self._targets(key)[:2]:
             remaining = deadline - self._loop.time()
             if remaining <= 0:
                 break
+            if attempts:
+                self.metrics.count("cluster_retries")
+            attempts += 1
             self._pending += 1
             shard.inflight += 1
             try:
@@ -454,12 +350,12 @@ class ClusterCoordinator:
                     "cluster.forward", shard=shard.index, path=path
                 ) as forward_span:
                     trace_headers: Optional[Dict[str, str]] = None
-                    if TRACER.enabled:
-                        carrier = TRACER.current_carrier()
-                        if carrier is not None:
-                            trace_headers = {
-                                "X-Repro-Trace": carrier_to_header(carrier)
-                            }
+                    if forward_span is not None:
+                        trace_headers = {
+                            "X-Repro-Trace": carrier_to_header(
+                                TRACER.current_carrier()
+                            )
+                        }
                     status, headers, payload = await shard.pool.request(
                         "POST",
                         path,
@@ -477,34 +373,22 @@ class ClusterCoordinator:
                     "computation continues and a retry may hit the "
                     "owning shard's cache"
                 ) from None
-            except _RETRYABLE as error:
-                shard.errors += 1
-                self.metrics.count("cluster_shard_errors")
-                self._mark_failure(
-                    shard, f"{type(error).__name__}: {error}"
-                )
-                if attempts < 2:
-                    shard.retries += 1
-                    self.metrics.count("cluster_retries")
-                continue
+            except OSError as error:
+                failure = f"{type(error).__name__}: {error}"
+            else:
+                if status not in (500, 502, 503):
+                    return self._shard_response(
+                        shard, status, headers, payload
+                    )
+                # A draining or crashed-but-listening shard: idempotent
+                # job, retry once on the next ring successor.
+                failure = f"forward HTTP {status}"
             finally:
                 self._pending -= 1
                 shard.inflight -= 1
-            if status in (500, 502, 503):
-                # A draining or crashed-but-listening shard: idempotent
-                # job, retry once on the next ring successor.
-                shard.errors += 1
-                self.metrics.count("cluster_shard_errors")
-                self._mark_failure(shard, f"forward HTTP {status}")
-                if attempts < 2:
-                    shard.retries += 1
-                    self.metrics.count("cluster_retries")
-                continue
-            return self._shard_response(
-                shard, route, fingerprint, status, headers, payload
-            )
-        if shed is not None and attempts == 0:
-            raise shed
+            shard.errors += 1
+            self.metrics.count("cluster_shard_errors")
+            self._mark_failure(shard, failure)
         self.metrics.count("cluster_no_shard_available")
         raise NoShardAvailable(
             f"no shard could serve {op} after {attempts} attempt(s)",
@@ -514,8 +398,6 @@ class ClusterCoordinator:
     def _shard_response(
         self,
         shard: ShardState,
-        route: _Route,
-        fingerprint: str,
         status: int,
         headers: Dict[str, str],
         payload: bytes,
@@ -526,19 +408,6 @@ class ClusterCoordinator:
             labeled_name("cluster_shard_requests", shard=str(shard.index))
         )
         self.metrics.count(f"http_{status}")
-        if (
-            status == 200
-            and self.config.front_cache_entries > 0
-            and route.seen >= self.config.front_cache_threshold
-        ):
-            self._front[fingerprint] = (
-                status,
-                headers.get("content-type", "application/json"),
-                payload,
-            )
-            self._front.move_to_end(fingerprint)
-            while len(self._front) > self.config.front_cache_entries:
-                self._front.popitem(last=False)
         out_headers: Dict[str, str] = {}
         if "retry-after" in headers:
             out_headers["Retry-After"] = headers["retry-after"]
@@ -549,77 +418,15 @@ class ClusterCoordinator:
             headers=out_headers,
         )
 
-    # -- routing state -----------------------------------------------------
-
-    def _resolve_route(self, op: str, body: bytes) -> _Route:
-        key = (op, hashlib.sha256(body).digest())
-        route = self._routes.get(key)
-        if route is not None:
-            self._routes.move_to_end(key)
-            self.metrics.count("cluster_route_cache_hits")
-            return route
-        route = _Route()
-        try:
-            decoded = json.loads(body.decode("utf-8"))
-        except ValueError as error:
-            route.fault = (
-                400, "bad_request", f"invalid JSON body: {error}", None
-            )
-        else:
-            try:
-                route.fingerprint = normalize_request(op, decoded).fingerprint
-            except ServiceFault as fault:
-                route.fault = (
-                    fault.status,
-                    fault.error_type,
-                    str(fault),
-                    fault.retry_after,
-                )
-        self._routes[key] = route
-        while len(self._routes) > self.config.route_cache_entries:
-            self._routes.popitem(last=False)
-        return route
-
-    def _note_request(self, route: _Route, fingerprint: str) -> bool:
-        """Update sighting/hot-rate state; True when the key is hot."""
-        now = time.monotonic()
-        route.seen += 1
-        window = route.window
-        if now - window[0] > self.config.hot_window_s:
-            window[0] = now
-            window[1] = 0
-        window[1] += 1
-        if window[1] >= self.config.hot_threshold:
-            if fingerprint not in self._hot_until:
-                self.metrics.count("cluster_hot_keys_promoted")
-            self._hot_until[fingerprint] = now + self.config.hot_ttl_s
-        expiry = self._hot_until.get(fingerprint)
-        if expiry is None:
-            return False
-        if expiry <= now:
-            del self._hot_until[fingerprint]
-            self._hot_rr.pop(fingerprint, None)
-            return False
-        return True
-
-    def _targets(self, fingerprint: str, hot: bool) -> List[ShardState]:
-        """Preference-ordered shards for a fingerprint: ring order,
-        healthy first; hot keys rotate through their replica set."""
+    def _targets(self, key: str) -> List[ShardState]:
+        """Preference-ordered shards for a routing key: ring order,
+        healthy shards only (all of them when none is healthy)."""
         order = [
             self.shards[address]
-            for address in self.ring.lookup_n(
-                fingerprint, len(self.shards)
-            )
+            for address in self.ring.lookup_n(key, len(self.shards))
         ]
         healthy = [shard for shard in order if shard.healthy]
-        pool = healthy if healthy else order
-        if hot and self.config.replication > 1 and len(pool) > 1:
-            width = min(self.config.replication, len(pool))
-            turn = self._hot_rr.get(fingerprint, 0)
-            self._hot_rr[fingerprint] = turn + 1
-            start = turn % width
-            return pool[start:width] + pool[:start] + pool[width:]
-        return pool
+        return healthy or order
 
     # -- introspection -----------------------------------------------------
 
@@ -646,86 +453,34 @@ class ClusterCoordinator:
         }
 
     async def _cluster_health(self) -> Dict[str, Any]:
-        """The rollup: live per-shard healthz + dedup counters."""
-
-        async def one(shard: ShardState) -> Tuple[str, Dict[str, Any]]:
-            entry: Dict[str, Any] = {
+        """The rollup: every shard probed now, plus forward tallies."""
+        await self._probe_all()
+        shards: Dict[str, Any] = {}
+        for shard in self.shards.values():
+            label = shard.display
+            while label in shards:  # label collision safety net
+                label = f"{label}@{shard.address}"
+            shards[label] = {
                 "index": shard.index,
                 "address": shard.address,
+                "label": shard.display,
                 "healthy": shard.healthy,
                 "consecutive_failures": shard.consecutive_failures,
                 "last_error": shard.last_error,
                 "requests": shard.requests,
-                "retries": shard.retries,
                 "errors": shard.errors,
                 "in_flight": shard.inflight,
-                "healthz": None,
-                "dedup": None,
+                "healthz": shard.last_healthz,
             }
-            try:
-                status, _, body = await shard.pool.request(
-                    "GET", "/healthz", timeout=2.0
-                )
-                if status == 200:
-                    payload = json.loads(body.decode("utf-8"))
-                    entry["healthz"] = payload
-                    if shard.label is None and payload.get("shard"):
-                        shard.label = str(payload["shard"])
-                    if payload.get("status") == "ok":
-                        self._mark_success(shard)
-                    else:
-                        self._mark_failure(
-                            shard,
-                            f"shard status {payload.get('status')!r}",
-                        )
-                status, _, body = await shard.pool.request(
-                    "GET", "/metrics", timeout=2.0
-                )
-                if status == 200:
-                    counters = json.loads(body.decode("utf-8")).get(
-                        "counters", {}
-                    )
-                    entry["dedup"] = {
-                        name: counters.get(name, 0)
-                        for name in SHARD_DEDUP_COUNTERS
-                    }
-            except (asyncio.TimeoutError, ValueError, *_RETRYABLE) as error:
-                self._mark_failure(
-                    shard, f"{type(error).__name__}: {error}"
-                )
-            entry["healthy"] = shard.healthy
-            entry["label"] = shard.display
-            return shard.display, entry
-
-        gathered = await asyncio.gather(
-            *(one(shard) for shard in self.shards.values())
-        )
-        shards: Dict[str, Any] = {}
-        for label, entry in gathered:
-            while label in shards:  # label collision safety net
-                label = f"{label}@{entry['address']}"
-            shards[label] = entry
-        now = time.monotonic()
-        counters = self.metrics.to_dict().get("counters", {})
         healthy = sum(1 for s in self.shards.values() if s.healthy)
         return {
             "status": "ok" if healthy == len(self.shards) else "degraded",
             "role": "coordinator",
             "version": __version__,
-            "uptime_seconds": round(now - self._started_monotonic, 3),
-            "replication": self.config.replication,
-            "hot_keys": sum(
-                1 for expiry in self._hot_until.values() if expiry > now
+            "uptime_seconds": round(
+                time.monotonic() - self._started_monotonic, 3
             ),
-            "front_cache_entries": len(self._front),
             "shards": shards,
-            "coordinator": {
-                "counters": {
-                    name: value
-                    for name, value in sorted(counters.items())
-                    if name.startswith("cluster_")
-                },
-            },
         }
 
     async def _shard_metric_snapshots(
@@ -744,7 +499,7 @@ class ClusterCoordinator:
                 if status == 200:
                     return shard, json.loads(body.decode("utf-8"))
                 self._mark_failure(shard, f"metrics HTTP {status}")
-            except (asyncio.TimeoutError, ValueError, *_RETRYABLE) as error:
+            except (asyncio.TimeoutError, ValueError, OSError) as error:
                 self._mark_failure(
                     shard, f"{type(error).__name__}: {error}"
                 )

@@ -10,29 +10,28 @@ starts and reused across both phases, so connection-setup noise never
 lands inside a measured percentile.
 
 Measures per-request latency (p50/p95/p99), throughput, dedup hit rate
-(in-flight + memo + disk, as a delta over ``/metrics``), and verifies
-that every unique successful response is byte-identical to the direct
-engine path (:func:`repro.service.pipeline.run_service_job` in this
-process).  Writes the whole payload to ``BENCH_service.json``.
+(in-flight + memo + disk, as a delta over the server's counters), and
+verifies that every unique successful response is byte-identical to
+the direct engine path (:func:`repro.service.pipeline.run_service_job`
+in this process).  Writes the whole payload to ``BENCH_service.json``.
 
-**Sharded mode** (``repro loadgen --shards N``) expects the target to
-be a cluster coordinator (see :mod:`repro.service.cluster`).  The same
-plan is first driven against a fresh single-server baseline spawned
-for the occasion, then against the cluster, in one run — the payload
-gains per-shard phase percentiles, per-shard dedup counters (from the
-``/v1/cluster/healthz`` rollup), and a ``comparison`` section with the
-warm-throughput ratio and the dedup-rate delta vs the baseline.
+The target may be one ``repro serve`` or a ``repro cluster``
+coordinator; loadgen tells them apart by the ``role`` in ``/healthz``
+and, against a coordinator, reads the dedup counters from the exact
+cross-shard aggregate of ``/v1/cluster/metrics``.  Either way the run
+is ``ok`` only if the dedup hits reach the exact floor ``200 responses
+− distinct valid fingerprints in the plan``: every repeat of a
+fingerprint was served without recomputing it.
 
-Schema history: schema 2 added ``p95_ms``; schema 3 adds the
-optional ``cluster`` / ``baseline`` / ``comparison`` sections and the
-``shards`` field; **schema 4** makes the warm phase adaptive — the
-plan re-fires against the warm server until a statistical stopping
-rule (:mod:`repro.bench`) says the throughput samples are stable — and
-adds the shared ``"bench"`` section (per-metric samples, median, CI
-bounds, repeats, stop reason, environment fingerprint) plus a
-``phases.warm_runs`` list of per-run stats.  The legacy
-``phases.warm`` entry is the merge over all warm runs.  All additions
-are new keys — older consumers keep working unchanged.
+Schema history: schema 2 added ``p95_ms``; schema 3 added the
+sharded-mode ``cluster`` / ``baseline`` / ``comparison`` sections and
+the ``shards`` field; schema 4 made the warm phase adaptive — the plan
+re-fires against the warm server until a statistical stopping rule
+(:mod:`repro.bench`) says the throughput samples are stable — and
+added the shared ``"bench"`` section plus a ``phases.warm_runs`` list
+of per-run stats (``phases.warm`` is the merge over all warm runs);
+**schema 5** drops the schema-3 sharded-mode keys and adds ``role``
+(``server`` or ``coordinator``) and ``dedup.floor``.
 
 Each request runs under **one** ``loadgen.request`` span carrying
 ``status`` and ``retries`` attributes: the client-side 429/503 retry
@@ -44,8 +43,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import subprocess
-import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -58,11 +55,11 @@ from ..bench import (
 )
 from ..obs.exporters import write_chrome_trace
 from ..obs.tracer import TRACER
-from .client import AsyncServiceClient, ServiceClient, wait_until_healthy
+from .client import AsyncServiceClient, ServiceClient
 from .pipeline import run_service_job
-from .protocol import normalize_request
+from .protocol import ServiceJob, normalize_request
 
-BENCH_SCHEMA = 4
+BENCH_SCHEMA = 5
 
 DEFAULT_BENCHMARKS = ("vectoradd", "reduction", "matrixmul", "histogram")
 
@@ -338,34 +335,6 @@ def _phase_stats(
     }
 
 
-def _per_shard_stats(
-    phases: Dict[str, List[Dict[str, Any]]]
-) -> Dict[str, Dict[str, Any]]:
-    """Group request latencies by the responding shard's identity
-    (the ``shard`` field shards stamp on job responses)."""
-    shards: Dict[str, Dict[str, Any]] = {}
-    for phase_name, results in phases.items():
-        for result in results:
-            payload = result.get("payload")
-            if not isinstance(payload, dict):
-                continue
-            shard = payload.get("shard")
-            if shard is None:
-                continue
-            entry = shards.setdefault(str(shard), {})
-            entry.setdefault(phase_name, []).append(result["latency_s"])
-    out: Dict[str, Dict[str, Any]] = {}
-    for shard, per_phase in sorted(shards.items()):
-        out[shard] = {
-            phase_name: {
-                "requests": len(latencies),
-                **_latency_summary(latencies),
-            }
-            for phase_name, latencies in per_phase.items()
-        }
-    return out
-
-
 _DEDUP_COUNTERS = (
     "inflight_dedup_hits",
     "service_memo_hits",
@@ -383,19 +352,36 @@ def _dedup_delta(before: Dict, after: Dict) -> Dict[str, int]:
     }
 
 
+def _dedup_snapshot(control: ServiceClient, role: str) -> Dict[str, Any]:
+    """A metrics snapshot carrying the dedup counters: the server's own
+    ``/metrics``, or a coordinator's exact cross-shard aggregate."""
+    if role == "coordinator":
+        return control.cluster_metrics()["aggregate"]
+    return control.metrics()
+
+
 def _dedup_payload(
-    counters: Dict[str, int], ok_responses: int
+    counters: Dict[str, int], ok_responses: int, distinct: int
 ) -> Dict[str, Any]:
+    """Dedup counters, hit rate, and the exact floor the hits must reach.
+
+    Each 200 is either the one computation of its fingerprint or a
+    dedup hit, so ``hits >= ok_responses - distinct`` (``distinct``
+    valid fingerprints in the plan) holds on one server and on a
+    cluster alike, as long as routing keeps each fingerprint on one
+    shard.
+    """
     hits = sum(counters.values())
     return {
         **counters,
         "total_hits": hits,
+        "floor": max(0, ok_responses - distinct),
         "rate": round(hits / ok_responses, 4) if ok_responses else 0.0,
     }
 
 
 def _verify_results(
-    plan: List[Dict[str, Any]],
+    jobs: Dict[int, ServiceJob],
     responses: Dict[int, Dict[str, Any]],
 ) -> Dict[str, int]:
     """Recompute each unique successful request through the direct
@@ -403,12 +389,9 @@ def _verify_results(
     compared = 0
     mismatches = 0
     seen = set()
-    for index, spec in enumerate(plan):
+    for index, job in jobs.items():
         response = responses.get(index)
-        if response is None or spec["expect"] != 200:
-            continue
-        job = normalize_request(spec["op"], spec["body"])
-        if job.fingerprint in seen:
+        if response is None or job.fingerprint in seen:
             continue
         seen.add(job.fingerprint)
         local = run_service_job(job.payload)
@@ -450,180 +433,6 @@ def _tally(
     return dropped, unexpected, status_counts, ok_responses
 
 
-# -- single-server baseline (sharded mode) ---------------------------------
-
-
-class _BaselineServer:
-    """A fresh single-process server for the in-run baseline.
-
-    Preferred: a ``repro serve`` subprocess (own interpreter, fair
-    comparison against out-of-process shards).  Fallback where
-    subprocesses are unavailable: a thread-hosted
-    :class:`~repro.service.server.ServiceServer` in this process.
-    """
-
-    def __init__(self, jobs: int, wait_secs: float = 60.0) -> None:
-        from .cluster.launcher import free_port, repro_env
-
-        self.port = free_port()
-        self.kind = "subprocess"
-        self._process: Optional[subprocess.Popen] = None
-        self._thread = None
-        self._server = None
-        try:
-            self._process = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "serve",
-                    "--port", str(self.port), "--jobs", str(jobs),
-                ],
-                env=repro_env(),
-            )
-        except OSError:
-            self._process = None
-        if self._process is not None and wait_until_healthy(
-            "127.0.0.1", self.port, timeout=wait_secs
-        ):
-            return
-        if self._process is not None:
-            self._process.terminate()
-            self._process = None
-        self._start_thread_fallback(jobs, wait_secs)
-
-    def _start_thread_fallback(self, jobs: int, wait_secs: float) -> None:
-        import threading
-
-        from .server import ServiceConfig, ServiceServer
-
-        self.kind = "thread"
-        self._server = ServiceServer(ServiceConfig(port=0, jobs=jobs))
-        self._thread = threading.Thread(
-            target=self._server.run_forever, daemon=True
-        )
-        self._thread.start()
-        if not self._server.started.wait(wait_secs) or (
-            self._server._startup_error is not None
-        ):
-            raise RuntimeError("baseline server failed to start")
-        self.port = self._server.port
-
-    def stop(self) -> None:
-        if self._process is not None:
-            self._process.terminate()
-            try:
-                self._process.wait(timeout=15)
-            except subprocess.TimeoutExpired:
-                self._process.kill()
-                self._process.wait(timeout=5)
-        if self._server is not None:
-            self._server.request_shutdown()
-            self._thread.join(15)
-
-
-def _run_baseline(
-    plan: List[Dict[str, Any]],
-    concurrency: int,
-    timeout: float,
-    jobs: int,
-    rule: Optional[StoppingRule] = None,
-) -> Dict[str, Any]:
-    """Drive the plan (cold + adaptive warm) against a fresh single
-    server — the same stopping rule as the cluster run, so the
-    comparison stays apples-to-apples."""
-    server = _BaselineServer(jobs)
-    try:
-        control = ServiceClient("127.0.0.1", server.port, timeout=timeout)
-        before = control.metrics()
-        (cold_results, cold_wall), warm_runs, _ = asyncio.run(
-            _run_phases(
-                "127.0.0.1", server.port, plan, concurrency, timeout,
-                rule=rule,
-            )
-        )
-        after = control.metrics()
-    finally:
-        server.stop()
-    warm_results, warm_wall = _merge_warm(warm_runs)
-    dropped, unexpected, status_counts, ok_responses = _tally(
-        plan, [cold_results] + [results for results, _ in warm_runs]
-    )
-    return {
-        "kind": server.kind,
-        "jobs": jobs,
-        "phases": {
-            "cold": _phase_stats(cold_results, cold_wall),
-            "warm": _phase_stats(warm_results, warm_wall),
-            "warm_runs": [
-                _phase_stats(results, wall)
-                for results, wall in warm_runs
-            ],
-        },
-        "status_counts": dict(sorted(status_counts.items())),
-        "dropped": dropped,
-        "unexpected_statuses": unexpected,
-        "dedup": _dedup_payload(
-            _dedup_delta(before, after), ok_responses
-        ),
-    }
-
-
-# -- cluster rollup helpers ------------------------------------------------
-
-
-def _rollup_dedup(rollup: Dict[str, Any]) -> Dict[str, Dict[str, int]]:
-    """Per-shard dedup counters from a ``/v1/cluster/healthz`` payload."""
-    out: Dict[str, Dict[str, int]] = {}
-    for label, entry in rollup.get("shards", {}).items():
-        dedup = entry.get("dedup") or {}
-        out[label] = {
-            name: int(dedup.get(name, 0)) for name in _DEDUP_COUNTERS
-        }
-    return out
-
-
-def _front_cache_hits(rollup: Dict[str, Any]) -> int:
-    return int(
-        rollup.get("coordinator", {})
-        .get("counters", {})
-        .get("cluster_front_cache_hits", 0)
-    )
-
-
-def _cluster_dedup(
-    before: Dict[str, Any], after: Dict[str, Any], ok_responses: int
-) -> Tuple[Dict[str, Any], Dict[str, Dict[str, int]]]:
-    """(aggregate dedup payload, per-shard dedup deltas).
-
-    Aggregate hits = shard-side in-flight/memo/disk hits plus the
-    coordinator's front-cache hits (responses served from coordinator
-    memory are dedup hits too — the bytes are exactly what the owning
-    shard last returned for that fingerprint).
-    """
-    shards_before = _rollup_dedup(before)
-    shards_after = _rollup_dedup(after)
-    per_shard: Dict[str, Dict[str, int]] = {}
-    totals = {name: 0 for name in _DEDUP_COUNTERS}
-    for label, counters in shards_after.items():
-        base = shards_before.get(
-            label, {name: 0 for name in _DEDUP_COUNTERS}
-        )
-        delta = {
-            name: counters[name] - base.get(name, 0)
-            for name in _DEDUP_COUNTERS
-        }
-        per_shard[label] = delta
-        for name in _DEDUP_COUNTERS:
-            totals[name] += delta[name]
-    front = _front_cache_hits(after) - _front_cache_hits(before)
-    aggregate = dict(totals)
-    aggregate["front_cache_hits"] = front
-    hits = sum(totals.values()) + front
-    aggregate["total_hits"] = hits
-    aggregate["rate"] = (
-        round(hits / ok_responses, 4) if ok_responses else 0.0
-    )
-    return aggregate, per_shard
-
-
 # -- entry points ----------------------------------------------------------
 
 
@@ -637,16 +446,14 @@ def run_loadgen(
     benchmarks=DEFAULT_BENCHMARKS,
     verify: bool = True,
     trace_out: Optional[str] = None,
-    shards: Optional[int] = None,
-    baseline_jobs: int = 2,
     rule: Optional[StoppingRule] = None,
     retries: int = 0,
 ) -> Dict[str, Any]:
     """Drive a running service and return the benchmark payload.
 
-    With ``shards``, the target must be a cluster coordinator with
-    that many shards; a single-server baseline runs first in the same
-    invocation so the payload carries an apples-to-apples comparison.
+    The target is one server or a cluster coordinator, told apart by
+    the ``role`` its ``/healthz`` reports; plan, checks and payload are
+    the same for both.
 
     ``rule`` (default: a bootstrap-CI repeater, 2..6 runs, 5% target)
     governs how many times the warm phase re-fires the plan; pass an
@@ -659,24 +466,14 @@ def run_loadgen(
     if trace_out:
         TRACER.configure(enabled=True)
     plan = build_plan(requests, concurrency, benchmarks)
+    jobs = {
+        index: normalize_request(spec["op"], spec["body"])
+        for index, spec in enumerate(plan)
+        if spec["expect"] == 200
+    }
     control = ServiceClient(host, port, timeout=timeout)
-
-    baseline: Optional[Dict[str, Any]] = None
-    cluster_before: Optional[Dict[str, Any]] = None
-    if shards:
-        cluster_before = control.cluster_healthz()
-        found = len(cluster_before.get("shards", {}))
-        if found != shards:
-            raise SystemExit(
-                f"repro loadgen: error: coordinator at {host}:{port} "
-                f"reports {found} shard(s), expected {shards}"
-            )
-        baseline = _run_baseline(
-            plan, concurrency, timeout, baseline_jobs, rule=rule
-        )
-        metrics_before = None
-    else:
-        metrics_before = control.metrics()
+    role = control.healthz().get("role", "server")
+    before = _dedup_snapshot(control, role)
 
     (cold_results, cold_wall), warm_runs, warm_stop = asyncio.run(
         _run_phases(
@@ -690,17 +487,11 @@ def run_loadgen(
         plan, [cold_results] + [results for results, _ in warm_runs]
     )
 
-    per_shard_dedup: Dict[str, Dict[str, int]] = {}
-    if shards:
-        cluster_after = control.cluster_healthz()
-        dedup, per_shard_dedup = _cluster_dedup(
-            cluster_before, cluster_after, ok_responses
-        )
-    else:
-        metrics_after = control.metrics()
-        dedup = _dedup_payload(
-            _dedup_delta(metrics_before, metrics_after), ok_responses
-        )
+    dedup = _dedup_payload(
+        _dedup_delta(before, _dedup_snapshot(control, role)),
+        ok_responses,
+        distinct=len({job.fingerprint for job in jobs.values()}),
+    )
 
     verification = {"compared": 0, "mismatches": 0}
     if verify:
@@ -708,16 +499,16 @@ def run_loadgen(
         for index, result in enumerate(cold_results):
             if result["status"] == 200:
                 first_ok[index] = result["payload"]
-        verification = _verify_results(plan, first_ok)
+        verification = _verify_results(jobs, first_ok)
 
     warm_run_stats = [
         _phase_stats(results, wall) for results, wall in warm_runs
     ]
     payload = {
         "schema": BENCH_SCHEMA,
+        "role": role,
         "requests": requests,
         "concurrency": concurrency,
-        "shards": shards,
         "phases": {
             "cold": _phase_stats(cold_results, cold_wall),
             "warm": _phase_stats(warm_results, warm_wall),
@@ -770,70 +561,13 @@ def run_loadgen(
             stop_reason="derived",
         ),
     }
-    ok = (
+    payload["bench"] = bench_section("loadgen", metrics, rule=rule)
+    payload["ok"] = (
         dropped == 0
         and unexpected == 0
         and verification["mismatches"] == 0
-        and dedup["total_hits"] > 0
+        and dedup["total_hits"] >= dedup["floor"]
     )
-    if shards:
-        shard_stats = _per_shard_stats(
-            {"cold": cold_results, "warm": warm_results}
-        )
-        for label, counters in per_shard_dedup.items():
-            shard_stats.setdefault(label, {})["dedup"] = counters
-        payload["cluster"] = {
-            "shards": shards,
-            "per_shard": shard_stats,
-        }
-        payload["baseline"] = baseline
-        baseline_warm = baseline["phases"]["warm"]["requests_per_s"]
-        cluster_warm = payload["phases"]["warm"]["requests_per_s"]
-        ratio = (
-            round(cluster_warm / baseline_warm, 3) if baseline_warm else 0.0
-        )
-        rate_delta = round(
-            dedup["rate"] - baseline["dedup"]["rate"], 4
-        )
-        payload["comparison"] = {
-            "warm_throughput_ratio": ratio,
-            "dedup_rate_delta": rate_delta,
-        }
-        # The ratio is machine-portable (both sides ran on this host
-        # moments apart), so it is the one gated loadgen metric.
-        baseline_samples = [
-            stats["requests_per_s"]
-            for stats in baseline["phases"]["warm_runs"]
-        ]
-        ratio_samples = [
-            stats["requests_per_s"] / baseline_warm
-            for stats in warm_run_stats
-        ] if baseline_warm else [0.0]
-        metrics["warm_throughput_ratio"] = metric_from_samples(
-            "warm_throughput_ratio",
-            ratio_samples,
-            unit="x",
-            direction="higher",
-            comparable=True,
-            rule=rule,
-            stop_reason="derived",
-        )
-        metrics["baseline_warm_requests_per_s"] = metric_from_samples(
-            "baseline_warm_requests_per_s",
-            baseline_samples,
-            unit="req/s",
-            direction="higher",
-            rule=rule,
-            stop_reason="derived",
-        )
-        ok = (
-            ok
-            and baseline["dropped"] == 0
-            and ratio >= 1.5
-            and abs(rate_delta) <= 0.02
-        )
-    payload["bench"] = bench_section("loadgen", metrics, rule=rule)
-    payload["ok"] = ok
     if trace_out:
         write_chrome_trace(trace_out, TRACER.drain())
     return payload
@@ -862,12 +596,8 @@ def format_loadgen(payload: Dict[str, Any]) -> str:
     lines = [
         "service loadgen "
         f"({payload['requests']} requests x2 phases, "
-        f"concurrency {payload['concurrency']}"
-        + (
-            f", {payload['shards']} shards)"
-            if payload.get("shards")
-            else ")"
-        ),
+        f"concurrency {payload['concurrency']}, "
+        f"{payload.get('role', 'server')})",
         f"{'phase':>6}{'reqs':>7}{'wall s':>9}{'req/s':>9}"
         f"{'p50 ms':>9}{'p95 ms':>9}{'p99 ms':>9}",
     ]
@@ -880,42 +610,9 @@ def format_loadgen(payload: Dict[str, Any]) -> str:
     lines.append(
         "dedup: "
         + " ".join(f"{k}={dedup[k]}" for k in _DEDUP_COUNTERS)
-        + (
-            f" front_cache_hits={dedup['front_cache_hits']}"
-            if "front_cache_hits" in dedup
-            else ""
-        )
-        + f" rate={dedup['rate']:.2%}"
+        + f" rate={dedup['rate']:.2%} "
+        f"(hits {dedup['total_hits']}, floor {dedup['floor']})"
     )
-    if payload.get("cluster"):
-        for shard, stats in payload["cluster"]["per_shard"].items():
-            parts = [f"shard {shard}:"]
-            for phase in ("cold", "warm"):
-                if phase in stats:
-                    parts.append(
-                        f"{phase} {stats[phase]['requests']} reqs "
-                        f"p50 {stats[phase]['p50_ms']:.2f}ms "
-                        f"p99 {stats[phase]['p99_ms']:.2f}ms"
-                    )
-            if "dedup" in stats:
-                parts.append(
-                    f"dedup {sum(stats['dedup'].values())} hits"
-                )
-            lines.append("  " + " | ".join(parts))
-        baseline = payload["baseline"]
-        lines.append(
-            f"baseline ({baseline['kind']}, jobs={baseline['jobs']}): "
-            f"warm {baseline['phases']['warm']['requests_per_s']:.1f} "
-            f"req/s, dedup rate {baseline['dedup']['rate']:.2%}, "
-            f"dropped={baseline['dropped']}"
-        )
-        comparison = payload["comparison"]
-        lines.append(
-            f"comparison: warm throughput "
-            f"{comparison['warm_throughput_ratio']:.2f}x baseline "
-            f"(floor 1.5x), dedup rate delta "
-            f"{comparison['dedup_rate_delta']:+.2%} (budget ±2%)"
-        )
     lines.append(
         f"verify: {verify['compared']} compared, "
         f"{verify['mismatches']} mismatches"

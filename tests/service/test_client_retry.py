@@ -1,9 +1,13 @@
-"""Client retry/backoff behaviour (no sockets: request_raw is stubbed).
+"""Client retry/backoff behaviour (no sockets: the core's request_raw
+is stubbed).
 
-The backoff contract: ``Retry-After`` from the server wins (capped),
-otherwise capped exponential backoff with jitter from a *seeded* RNG —
-two clients built with the same seed sleep identical schedules, and
-nothing touches the module-level ``random`` state.
+Both clients share one retry loop,
+:meth:`AsyncServiceClient.request_with_retries`; :class:`ServiceClient`
+drives it through its ``core``.  The backoff contract: ``Retry-After``
+from the server wins (capped), otherwise capped exponential backoff
+with jitter from a *seeded* RNG — two clients built with the same seed
+sleep identical schedules, and nothing touches the module-level
+``random`` state.
 """
 
 import asyncio
@@ -52,17 +56,19 @@ def test_retry_after_wins_and_is_capped():
     assert backoff_delay(0, -3.0, base_s=0.05, cap_s=2.0, rng=rng) == 0.0
 
 
-def _flaky_responses(script):
-    """A request_raw stub yielding the scripted (status, payload) list."""
+def _stub_core(monkeypatch, core, script):
+    """Replace ``core.request_raw`` with a stub yielding the scripted
+    (status, payload) list; ``None`` scripts a connection failure."""
     remaining = list(script)
 
-    def fake(method, path, body=None):
+    async def fake(method, path, body=None):
         status, payload = remaining.pop(0)
         if status is None:
             raise ConnectionRefusedError("scripted connection failure")
         return status, payload
 
-    return fake, remaining
+    monkeypatch.setattr(core, "request_raw", fake)
+    return remaining
 
 
 OK = (200, {"status": "ok"})
@@ -79,16 +85,16 @@ def sync_client(retries):
 
 def test_sync_client_retries_retryable_statuses(monkeypatch):
     client = sync_client(retries=3)
-    fake, remaining = _flaky_responses([SHED, DRAIN, (None, None), OK])
-    monkeypatch.setattr(client, "request_raw", fake)
+    remaining = _stub_core(
+        monkeypatch, client.core, [SHED, DRAIN, (None, None), OK]
+    )
     assert client.healthz() == {"status": "ok"}
     assert not remaining
 
 
 def test_sync_client_gives_up_after_budget(monkeypatch):
     client = sync_client(retries=1)
-    fake, _ = _flaky_responses([SHED, SHED, OK])
-    monkeypatch.setattr(client, "request_raw", fake)
+    _stub_core(monkeypatch, client.core, [SHED, SHED, OK])
     with pytest.raises(ServiceError) as excinfo:
         client.healthz()
     assert excinfo.value.status == 429
@@ -96,8 +102,7 @@ def test_sync_client_gives_up_after_budget(monkeypatch):
 
 def test_sync_client_never_retries_non_retryable(monkeypatch):
     client = sync_client(retries=5)
-    fake, remaining = _flaky_responses([BAD, OK])
-    monkeypatch.setattr(client, "request_raw", fake)
+    remaining = _stub_core(monkeypatch, client.core, [BAD, OK])
     with pytest.raises(ServiceError) as excinfo:
         client.healthz()
     assert excinfo.value.status == 400
@@ -109,22 +114,31 @@ def test_sync_client_honours_retry_after(monkeypatch):
         retries=1, backoff_base_s=10.0, backoff_cap_s=10.0
     )
     slept = []
-    monkeypatch.setattr(
-        "repro.service.client.time.sleep", slept.append
+
+    async def record_sleep(delay):
+        slept.append(delay)
+
+    monkeypatch.setattr(asyncio, "sleep", record_sleep)
+    _stub_core(
+        monkeypatch,
+        client.core,
+        [(429, {"error": {"type": "overloaded", "retry_after": 0.125}}), OK],
     )
-    fake, _ = _flaky_responses(
-        [(429, {"error": {"type": "overloaded", "retry_after": 0.125}}), OK]
-    )
-    monkeypatch.setattr(client, "request_raw", fake)
     assert client.healthz() == {"status": "ok"}
     assert slept == [0.125]
 
 
 def test_sync_client_zero_retries_raises_immediately(monkeypatch):
     client = sync_client(retries=0)
-    fake, _ = _flaky_responses([SHED, OK])
-    monkeypatch.setattr(client, "request_raw", fake)
+    _stub_core(monkeypatch, client.core, [SHED, OK])
     with pytest.raises(ServiceError):
+        client.healthz()
+
+
+def test_sync_client_connection_failure_raises_after_budget(monkeypatch):
+    client = sync_client(retries=1)
+    _stub_core(monkeypatch, client.core, [(None, None), (None, None)])
+    with pytest.raises(ConnectionRefusedError):
         client.healthz()
 
 
@@ -132,13 +146,11 @@ def test_async_client_retries_then_succeeds(monkeypatch):
     client = AsyncServiceClient(
         retries=2, backoff_base_s=0.0, backoff_cap_s=0.0
     )
-    fake, remaining = _flaky_responses([SHED, DRAIN, OK])
-
-    async def fake_async(method, path, body=None):
-        return fake(method, path, body)
-
-    monkeypatch.setattr(client, "request_raw", fake_async)
-    assert asyncio.run(client.call("GET", "/healthz")) == {"status": "ok"}
+    remaining = _stub_core(monkeypatch, client, [SHED, DRAIN, OK])
+    status, payload, retries = asyncio.run(
+        client.request_with_retries("GET", "/healthz")
+    )
+    assert (status, payload, retries) == (200, {"status": "ok"}, 2)
     assert not remaining
 
 
@@ -146,16 +158,33 @@ def test_async_client_never_retries_non_retryable(monkeypatch):
     client = AsyncServiceClient(
         retries=5, backoff_base_s=0.0, backoff_cap_s=0.0
     )
-    fake, remaining = _flaky_responses([BAD, OK])
-
-    async def fake_async(method, path, body=None):
-        return fake(method, path, body)
-
-    monkeypatch.setattr(client, "request_raw", fake_async)
-    with pytest.raises(ServiceError) as excinfo:
-        asyncio.run(client.call("GET", "/healthz"))
-    assert excinfo.value.status == 400
+    remaining = _stub_core(monkeypatch, client, [BAD, OK])
+    status, payload, retries = asyncio.run(
+        client.request_with_retries("GET", "/healthz")
+    )
+    assert (status, retries) == (400, 0)
+    assert payload["error"]["type"] == "bad_request"
     assert remaining == [OK]
+
+
+def test_same_seed_clients_sleep_identical_schedules(monkeypatch):
+    schedules = []
+    for _ in range(2):
+        client = ServiceClient(
+            retries=3, backoff_base_s=0.05, backoff_cap_s=2.0,
+            backoff_seed=11,
+        )
+        slept = []
+
+        async def record_sleep(delay, slept=slept):
+            slept.append(delay)
+
+        monkeypatch.setattr(asyncio, "sleep", record_sleep)
+        _stub_core(monkeypatch, client.core, [DRAIN, DRAIN, DRAIN, OK])
+        assert client.healthz() == {"status": "ok"}
+        schedules.append(slept)
+    assert schedules[0] == schedules[1]
+    assert schedules[0] == delays(11, 3, base_s=0.05, cap_s=2.0)
 
 
 def test_module_random_state_untouched():

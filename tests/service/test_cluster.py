@@ -3,14 +3,17 @@
 Each test boots N :class:`ServiceServer` shards (thread executor) and
 one :class:`ClusterCoordinator` on ephemeral ports, all in background
 threads, and talks real HTTP through the coordinator.  Allocate
-requests on the loadgen kernel keep the compute cheap; routing,
-failover, hot-key replication, and the rollup endpoint are what's
-under test.
+requests on the loadgen kernel keep the compute cheap; raw-body
+routing, pass-through of shard errors, failover, draining, and the
+rollup endpoints are what's under test.
 """
 
 import contextlib
+import http.client
+import json
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.cluster import ClusterConfig, ClusterCoordinator
@@ -87,6 +90,28 @@ def counters(coordinator):
     return coordinator.metrics.to_dict()["counters"]
 
 
+def shards_touched(coordinator):
+    return sorted(
+        name
+        for name in counters(coordinator)
+        if name.startswith("cluster_shard_requests{")
+    )
+
+
+def post_raw(port, path, body: bytes):
+    """(status, headers, body bytes) of one POST, no client decoding."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10)
+    try:
+        connection.request(
+            "POST", path, body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, dict(response.getheaders()), response.read()
+    finally:
+        connection.close()
+
+
 def test_coordinator_healthz_and_routing_determinism():
     with running_cluster(num_shards=2) as (coordinator, _):
         client = client_for(coordinator)
@@ -101,10 +126,12 @@ def test_coordinator_healthz_and_routing_determinism():
         assert owner in ("0/2", "1/2")
         for _ in range(3):
             repeat = client.allocate(**allocate_body())
-            # Same fingerprint → same shard → shard-local memo hit.
+            # Same body → same shard → shard-local memo hit.
             assert repeat["shard"] == owner
             assert repeat["served_from"] == "cache"
-        assert counters(coordinator)["cluster_route_cache_hits"] >= 3
+        assert shards_touched(coordinator) == [
+            f'cluster_shard_requests{{shard="{owner.split("/")[0]}"}}'
+        ]
 
 
 def test_distinct_bodies_spread_and_dedup_survives():
@@ -123,29 +150,40 @@ def test_distinct_bodies_spread_and_dedup_survives():
             assert (
                 client.allocate(**allocate_body(entries))["shard"] == owner
             )
-        rollup = client.cluster_healthz()
-        hits = sum(
-            entry["dedup"]["service_memo_hits"]
-            for entry in rollup["shards"].values()
+        metrics = client.cluster_metrics()
+        per_shard = [
+            entry["metrics"]["counters"].get("service_memo_hits", 0)
+            for entry in metrics["shards"].values()
+        ]
+        assert all(hits >= 1 for hits in per_shard)
+        assert metrics["aggregate"]["counters"]["service_memo_hits"] == 8
+        assert metrics["aggregate"]["counters"]["jobs_executed"] == 8
+
+
+def test_shard_400_passes_through_byte_for_byte():
+    with running_cluster(num_shards=2) as (coordinator, shards):
+        bad_bodies = (
+            b"{not json",
+            json.dumps({"benchmark": "no-such-benchmark"}).encode(),
         )
-        assert hits >= 8
-
-
-def test_bad_requests_pass_through_and_fault_cache_replays():
-    with running_cluster(num_shards=2) as (coordinator, _):
-        client = client_for(coordinator)
-        for _ in range(2):
-            status, payload = client.request_raw(
-                "POST", "/v1/evaluate", {"benchmark": "no-such-benchmark"}
+        for body in bad_bodies:
+            status, _, through = post_raw(
+                coordinator.port, "/v1/evaluate", body
             )
+            direct = post_raw(shards[0].port, "/v1/evaluate", body)
+            assert (status, through) == (direct[0], direct[2])
             assert status == 400
-            assert payload["error"]["type"] == "bad_request"
-        status, payload = client.request_raw("POST", "/v1/allocate", None)
+        error = json.loads(through)["error"]
+        assert error["type"] == "bad_request"
+        assert "no-such-benchmark" in error["message"]
+        # The shards answered every bad body; the coordinator only
+        # counted what passed through.
+        client = client_for(coordinator)
+        aggregate = client.cluster_metrics()["aggregate"]["counters"]
+        assert aggregate["http_400"] == 2 * len(bad_bodies)
+        assert counters(coordinator)["http_400"] == len(bad_bodies)
+        status, _ = client.request_raw("POST", "/v1/allocate", None)
         assert status == 400
-        # The second identical bad body was answered from the route
-        # cache without re-normalising.
-        assert counters(coordinator)["cluster_route_cache_hits"] >= 1
-        assert counters(coordinator)["http_400"] >= 3
         status, _ = client.request_raw("GET", "/v1/allocate")
         assert status == 405
         status, _ = client.request_raw("GET", "/v1/nope")
@@ -196,55 +234,6 @@ def test_shard_death_fails_over_and_reports_unhealthy():
         assert fresh["shard"] == survivor_label
 
 
-def test_hot_key_replicates_across_shards():
-    with running_cluster(
-        num_shards=2,
-        hot_threshold=2,
-        hot_window_s=60.0,
-        replication=2,
-        front_cache_entries=0,  # keep every request hitting shards
-    ) as (coordinator, _):
-        client = client_for(coordinator)
-        for _ in range(12):
-            assert client.allocate(**allocate_body())["served_from"] in (
-                "computed",
-                "cache",
-            )
-        tally = counters(coordinator)
-        assert tally.get("cluster_hot_keys_promoted", 0) >= 1
-        touched = [
-            name
-            for name in tally
-            if name.startswith("cluster_shard_requests{")
-        ]
-        assert len(touched) == 2, (
-            f"hot key stayed on one shard: {tally}"
-        )
-
-
-def test_front_cache_serves_hot_repeats_from_memory():
-    with running_cluster(
-        num_shards=2,
-        hot_threshold=2,
-        hot_window_s=60.0,
-        front_cache_threshold=2,
-    ) as (coordinator, _):
-        client = client_for(coordinator)
-        first = client.allocate(**allocate_body())
-        for _ in range(5):
-            repeat = client.allocate(**allocate_body())
-            assert {
-                key: value
-                for key, value in repeat.items()
-                if key not in ("served_from",)
-            } == {
-                key: value
-                for key, value in first.items()
-                if key not in ("served_from",)
-            }
-        assert counters(coordinator)["cluster_front_cache_hits"] >= 1
-
-
 def test_draining_coordinator_rejects_new_work():
     with running_cluster(num_shards=1) as (coordinator, _):
         client = client_for(coordinator)
@@ -262,8 +251,6 @@ def test_prometheus_exposition_carries_shard_label():
     with running_cluster(num_shards=2) as (coordinator, _):
         client = client_for(coordinator)
         client.allocate(**allocate_body())
-        import http.client
-
         connection = http.client.HTTPConnection(
             "127.0.0.1", coordinator.port
         )
@@ -282,3 +269,67 @@ def test_prometheus_exposition_carries_shard_label():
             text.count("# TYPE repro_cluster_shard_requests_total counter")
             == 1
         )
+
+
+class _Shedding(BaseHTTPRequestHandler):
+    """A stub shard: healthy on /healthz, 429 + Retry-After on jobs."""
+
+    protocol_version = "HTTP/1.1"
+    SHED_BODY = json.dumps({
+        "error": {
+            "type": "overloaded",
+            "message": "stub shard shedding",
+            "retry_after": 3,
+        }
+    }).encode("utf-8")
+
+    def _reply(self, status, body, headers=()):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(body)))
+        for name, value in headers:
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(body)
+
+    def do_GET(self):
+        self._reply(200, b'{"shard": "0/1", "status": "ok"}')
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers.get("Content-Length", "0")))
+        self._reply(429, self.SHED_BODY, [("Retry-After", "3")])
+
+    def log_message(self, *args):
+        pass
+
+
+def test_shard_429_reaches_client_with_retry_after():
+    stub = ThreadingHTTPServer(("127.0.0.1", 0), _Shedding)
+    thread = threading.Thread(target=stub.serve_forever, daemon=True)
+    thread.start()
+    coordinator = ClusterCoordinator(
+        ClusterConfig(
+            port=0,
+            shards=(f"127.0.0.1:{stub.server_address[1]}",),
+            probe_interval_s=0.1,
+        )
+    )
+    runner = threading.Thread(target=coordinator.run_forever, daemon=True)
+    runner.start()
+    try:
+        assert coordinator.started.wait(10)
+        status, headers, body = post_raw(
+            coordinator.port,
+            "/v1/allocate",
+            json.dumps(allocate_body()).encode(),
+        )
+        assert status == 429
+        assert headers["Retry-After"] == "3"
+        assert body == _Shedding.SHED_BODY
+        assert counters(coordinator).get("cluster_retries", 0) == 0
+    finally:
+        _safe_shutdown(coordinator)
+        runner.join(10)
+        stub.shutdown()
+        stub.server_close()
+    assert not runner.is_alive(), "coordinator did not shut down"
