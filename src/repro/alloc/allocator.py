@@ -350,13 +350,11 @@ def _levels_pass(
     ``kernel`` must be structurally identical to ``analysis.kernel``;
     every ref in the analysis resolves by position.  The analysis is
     read-only here — partitions and strand values are shared across
-    all configs built from them.
+    all configs built from them.  One stamp sets every instruction's
+    strand bit and shared single-level annotations; placing a value
+    then replaces only the annotations it changes.
     """
-    kernel.reset_annotations()
-    ending = analysis.partition.ends_strand_positions
-    for ref, instruction in kernel.instructions():
-        instruction.ends_strand = ref.position in ending
-        instruction.ensure_default_annotations()
+    kernel.stamp_baseline(analysis.partition.ends_strand_positions)
     if model is None:
         model = config.energy_model()
 
@@ -402,22 +400,17 @@ def _web_positions(web: Web, covered: Sequence[WebRead]) -> List[int]:
 
 def _web_scope_ok(web: Web, config: AllocationConfig) -> bool:
     """Baseline block-scope restriction (Section 4.2)."""
-    if config.allow_forward_branches:
-        return True
-    blocks = {d.ref.block_index for d in web.defs if d.ref is not None}
-    return len(blocks) == 1
+    return (
+        config.allow_forward_branches
+        or web.block_scoped_reads is not None
+    )
 
 
 def _scoped_reads(web: Web, config: AllocationConfig) -> List[WebRead]:
     """Coverable reads, restricted to block scope for the baseline."""
-    reads = web.coverable_reads
     if config.allow_forward_branches:
-        return reads
-    def_blocks = {d.ref.block_index for d in web.defs if d.ref is not None}
-    if len(def_blocks) != 1:
-        return []
-    (block,) = def_blocks
-    return [read for read in reads if read.site.ref.block_index == block]
+        return web.coverable_reads
+    return web.block_scoped_reads or []
 
 
 def _lrf_pass(
@@ -855,9 +848,8 @@ def _try_allocate_read_operand(
 def _web_interval(
     web: Web, covered: Sequence[WebRead]
 ) -> Tuple[int, int]:
-    begin = web.first_def_position
+    begin, last_def = web.def_span
     end = covered[-1].position if covered else begin
-    last_def = max(d.ref.position for d in web.defs if d.ref is not None)
     return begin, max(end, last_def)
 
 
@@ -878,23 +870,24 @@ def _annotate_web(
     levels: Tuple[Level, ...] = (level,) + (
         (Level.MRF,) if needs_mrf else ()
     )
+    orf_entry = entry if level is Level.ORF else None
+    lrf_bank = entry if level is Level.LRF else None
+    # Annotations are frozen, so every definition shares one and every
+    # covered read another.
+    dest = DestAnnotation(
+        levels=levels, orf_entry=orf_entry, lrf_bank=lrf_bank
+    )
     for definition in web.defs:
         if definition.ref is None:
             continue
-        instruction = kernel.instruction_at(definition.ref)
-        instruction.dst_ann = DestAnnotation(
-            levels=levels,
-            orf_entry=entry if level is Level.ORF else None,
-            lrf_bank=entry if level is Level.LRF else None,
-        )
+        kernel.instruction_at(definition.ref).dst_ann = dest
+    source = SourceAnnotation(
+        level=level, orf_entry=orf_entry, lrf_bank=lrf_bank
+    )
     for read in assignment.covered_reads:
         instruction = kernel.instruction_at(read.site.ref)
         anns = list(instruction.src_anns or ())
-        anns[read.site.slot] = SourceAnnotation(
-            level=level,
-            orf_entry=entry if level is Level.ORF else None,
-            lrf_bank=entry if level is Level.LRF else None,
-        )
+        anns[read.site.slot] = source
         instruction.src_anns = tuple(anns)
 
 
@@ -909,10 +902,9 @@ def _annotate_read_operand(
         level=Level.MRF, orf_write_entry=entry
     )
     instruction.src_anns = tuple(anns)
+    source = SourceAnnotation(level=Level.ORF, orf_entry=entry)
     for read in rest:
         instruction = kernel.instruction_at(read.site.ref)
         anns = list(instruction.src_anns or ())
-        anns[read.site.slot] = SourceAnnotation(
-            level=Level.ORF, orf_entry=entry
-        )
+        anns[read.site.slot] = source
         instruction.src_anns = tuple(anns)

@@ -90,13 +90,39 @@ class Web:
     #: and must therefore also be written to the MRF (Figure 6).
     live_out: bool = False
 
-    @property
+    @cached_property
     def width_words(self) -> int:
         return self.reg.num_words
 
-    @property
-    def first_def_position(self) -> int:
-        return min(d.ref.position for d in self.defs if d.ref is not None)
+    @cached_property
+    def def_span(self) -> Tuple[int, int]:
+        """(first, last) static position of the in-strand definitions.
+
+        Cached like :attr:`coverable_reads`: ``defs`` is final once
+        :func:`build_strand_values` returns, and every allocation
+        window of every config starts from this span.
+        """
+        positions = [d.ref.position for d in self.defs if d.ref is not None]
+        return min(positions), max(positions)
+
+    @cached_property
+    def block_scoped_reads(self) -> Optional[List[WebRead]]:
+        """Coverable reads under the baseline block scope (Section 4.2).
+
+        The coverable reads in the block holding every definition, or
+        None when the definitions span blocks (the web is then out of
+        scope).  Cached like :attr:`coverable_reads`, and likewise not
+        to be mutated.
+        """
+        blocks = {d.ref.block_index for d in self.defs if d.ref is not None}
+        if len(blocks) != 1:
+            return None
+        (block,) = blocks
+        return [
+            read
+            for read in self.coverable_reads
+            if read.site.ref.block_index == block
+        ]
 
     @cached_property
     def coverable_reads(self) -> List[WebRead]:

@@ -123,7 +123,13 @@ class ExperimentEngine:
 
     def evaluate(self, traces: TraceSet, scheme: Scheme) -> KernelEvaluation:
         """Account ``traces`` under ``scheme``, memoized at every layer."""
-        key = record_key(traces, scheme)
+        return self._evaluate_keyed(
+            traces, scheme, record_key(traces, scheme)
+        )
+
+    def _evaluate_keyed(
+        self, traces: TraceSet, scheme: Scheme, key: str
+    ) -> KernelEvaluation:
         payload = self._lookup_record(key)
         if payload is not None:
             return evaluation_from_payload(payload, scheme)
@@ -151,16 +157,14 @@ class ExperimentEngine:
         compiled path, hardware schemes share one trace walk).  The
         returned records are identical to per-scheme :meth:`evaluate`
         calls — which is how they are served, from the freshly filled
-        memo.
+        memo.  Each scheme's record key is hashed once per call.
         """
-        missing: List[Scheme] = []
-        seen = set()
-        for scheme in schemes:
-            key = record_key(traces, scheme)
-            if key in seen or self._lookup_record(key) is not None:
+        keys = [record_key(traces, scheme) for scheme in schemes]
+        missing: Dict[str, Scheme] = {}
+        for scheme, key in zip(schemes, keys):
+            if key in missing or self._lookup_record(key) is not None:
                 continue
-            seen.add(key)
-            missing.append(scheme)
+            missing[key] = scheme
         if missing:
             self.metrics.count("record_misses", len(missing))
             with self.metrics.stage("evaluate"):
@@ -171,14 +175,15 @@ class ExperimentEngine:
                 ):
                     evaluations = evaluate_traces_batch(
                         traces,
-                        missing,
+                        list(missing.values()),
                         allocation_memo=self.allocation_memo,
                     )
-            for scheme, evaluation in zip(missing, evaluations):
-                self._store_record(
-                    record_key(traces, scheme), record_payload(evaluation)
-                )
-        return [self.evaluate(traces, scheme) for scheme in schemes]
+            for key, evaluation in zip(missing, evaluations):
+                self._store_record(key, record_payload(evaluation))
+        return [
+            self._evaluate_keyed(traces, scheme, key)
+            for scheme, key in zip(schemes, keys)
+        ]
 
     # -- study-level memoization -------------------------------------------
 

@@ -206,13 +206,17 @@ Operand = Union[Register, Immediate]
 SLOT_NAMES = ("A", "B", "C")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SourceAnnotation:
     """Where one source operand is read from, after allocation.
 
-    ``orf_write_entry``/``lrf_write_bank`` implement *read operand
-    allocation* (Section 4.4): the first read of an MRF-resident value
-    can additionally be written into the ORF so later reads hit the ORF.
+    ``orf_write_entry`` implements *read operand allocation*
+    (Section 4.4): the first read of an MRF-resident value can
+    additionally be written into the ORF so later reads hit the ORF.
+
+    A frozen value object: the allocator replaces annotations rather
+    than editing them, so one instance may be shared by any number of
+    operand slots and instructions.
     """
 
     level: Level = Level.MRF
@@ -224,13 +228,14 @@ class SourceAnnotation:
     orf_write_entry: Optional[int] = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class DestAnnotation:
     """Where the produced value is written, after allocation.
 
     A value may be written to the MRF and at most one of LRF/ORF in the
     same instruction (Section 4.6: "we allow a value to be written to
-    either the LRF or the ORF but not both").
+    either the LRF or the ORF but not both").  Frozen and shareable,
+    like :class:`SourceAnnotation`.
     """
 
     levels: Tuple[Level, ...] = (Level.MRF,)
@@ -239,6 +244,18 @@ class DestAnnotation:
 
     def writes(self, level: Level) -> bool:
         return level in self.levels
+
+
+#: The single-level baseline annotations: an MRF write, and one MRF
+#: read per source slot.  Shared by every unallocated instruction (the
+#: annotations are frozen), indexed by source arity.
+MRF_DEST = DestAnnotation()
+MRF_SOURCES: Tuple[Tuple[SourceAnnotation, ...], ...] = tuple(
+    (SourceAnnotation(),) * arity
+    for arity in range(
+        max(info.num_srcs for info in _OPCODE_INFO.values()) + 1
+    )
+)
 
 
 @dataclass
@@ -342,12 +359,16 @@ class Instruction:
     def clone(self) -> "Instruction":
         """A structural copy with no compiler annotations.
 
-        Operands, guards, and targets are immutable and shared; the
-        copy starts from the single-level baseline, ready for a fresh
+        The copy is validated like any new instruction.  It shares
+        everything immutable: operands, guard, target, and the operand
+        views (:meth:`src_registers`, :meth:`gpr_reads`), which are
+        computed on this instruction first if need be.  It never
+        inherits ``ends_strand`` or the allocation annotations: it
+        starts from the single-level baseline, ready for a fresh
         strand-partition/allocation run that cannot disturb this
         instruction's annotations (or vice versa).
         """
-        return Instruction(
+        copy = Instruction(
             opcode=self.opcode,
             dst=self.dst,
             srcs=self.srcs,
@@ -355,6 +376,10 @@ class Instruction:
             guard_sense=self.guard_sense,
             target=self.target,
         )
+        views = copy.__dict__
+        views["_gpr_reads"] = self.gpr_reads()
+        views["_src_registers"] = self.src_registers()
+        return copy
 
     def clear_annotations(self) -> None:
         """Reset all compiler annotations to the single-level baseline."""
@@ -365,11 +390,9 @@ class Instruction:
     def ensure_default_annotations(self) -> None:
         """Attach MRF-only annotations if the allocator has not run."""
         if self.dst_ann is None and self.gpr_write() is not None:
-            self.dst_ann = DestAnnotation()
+            self.dst_ann = MRF_DEST
         if self.src_anns is None:
-            self.src_anns = tuple(
-                SourceAnnotation() for _ in range(len(self.srcs))
-            )
+            self.src_anns = MRF_SOURCES[len(self.srcs)]
 
     def __str__(self) -> str:
         parts = []

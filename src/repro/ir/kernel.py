@@ -11,11 +11,21 @@ static register allocation pass on each kernel").
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Sequence, Set, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Sequence, Set, Tuple
 
 from .basic_block import BasicBlock
-from .instructions import Instruction
+from .instructions import MRF_DEST, MRF_SOURCES, Instruction
 from .registers import Register
+
+#: Instance-dict entries derived from the kernel's structure alone
+#: (opcodes, operands, layout), which no annotation changes: clones
+#: carry them over.
+_STRUCTURAL_STATE = ("_content_fingerprint", "_operand_table")
+
+#: Instance-dict entry derived from the annotations
+#: (:func:`repro.sim.compiled.software_counters` caches its per-position
+#: deltas here): dropped whenever the annotations are re-stamped.
+_ANNOTATION_STATE = "_annotation_deltas"
 
 
 class KernelValidationError(ValueError):
@@ -218,8 +228,29 @@ class Kernel:
 
     def reset_annotations(self) -> None:
         """Strip all strand/allocation annotations from the kernel."""
+        self.__dict__.pop(_ANNOTATION_STATE, None)
         for _, instruction in self.instructions():
             instruction.clear_annotations()
+
+    def stamp_baseline(self, ends_strand_positions: AbstractSet[int]) -> None:
+        """Re-stamp every instruction for a fresh allocation run.
+
+        One pass sets ``ends_strand`` (true at the given static
+        positions) and the shared single-level annotations: an MRF read
+        per source slot and an MRF write for a GPR destination.
+        Whatever the kernel carried before is replaced, and state
+        derived from it is dropped.
+        """
+        self.__dict__.pop(_ANNOTATION_STATE, None)
+        position = 0
+        for block in self.blocks:
+            for instruction in block.instructions:
+                instruction.ends_strand = position in ends_strand_positions
+                instruction.src_anns = MRF_SOURCES[len(instruction.srcs)]
+                instruction.dst_ann = (
+                    MRF_DEST if instruction.gpr_write() is not None else None
+                )
+                position += 1
 
     def clone(self) -> "Kernel":
         """A structural copy with pristine (baseline) annotations.
@@ -229,6 +260,12 @@ class Kernel:
         corresponding instruction of the clone.  Allocating the clone
         leaves this kernel's annotations untouched — the foundation of
         side-effect-free scheme evaluation.
+
+        The clone shares what no annotation changes: the operands and
+        operand views of every instruction (:meth:`Instruction.clone`),
+        the cached content fingerprint, and the cached operand table.
+        It never inherits annotations, ``ends_strand`` bits, or state
+        derived from them.
         """
         blocks = [
             BasicBlock(
@@ -237,7 +274,11 @@ class Kernel:
             )
             for block in self.blocks
         ]
-        return Kernel(self.name, blocks, self.live_in)
+        copy = Kernel(self.name, blocks, self.live_in)
+        for name in _STRUCTURAL_STATE:
+            if name in self.__dict__:
+                copy.__dict__[name] = self.__dict__[name]
+        return copy
 
     def content_fingerprint(self) -> str:
         """SHA-256 over the kernel's architectural content.

@@ -12,18 +12,24 @@ This module lowers a :class:`~repro.sim.runner.TraceSet` into:
   position, guard outcome, branch outcome, and lane masks), with
   identical warp traces deduplicated by content and carried as a
   multiplicity — uniform warps are accounted once and scaled;
-* a trace-set-wide **(position, guard, branch) execution histogram**:
-  how many times each static instruction issued with each outcome,
-  summed over all warps.
+* two trace-set-wide **per-position counts**, summed over all warps:
+  how many times each static instruction issued (its reads happen on
+  every issue) and how many of those issues passed the guard (its
+  write happens only then).
 
 Stateless accounting then collapses from O(dynamic instructions) per
-scheme to a single shared O(dynamic) aggregation pass plus O(static
-instructions) per scheme (:func:`baseline_counters`,
-:func:`software_counters`).
+scheme to a single shared O(dynamic) aggregation pass plus one walk
+over the static positions per scheme (:func:`baseline_counters`,
+:func:`software_counters`).  The per-position operand facts — GPR
+reads with their slots and word widths, the written width, the
+datapath class — come from a :class:`StaticOperandTable` built once
+per kernel, so a software scheme's walk reads nothing from its
+allocated kernel but the annotations.
 
 The *stateful* hardware models (FIFO caches with liveness-gated
-write-back) cannot be folded into the histogram, but their per-event
-decode is scheme-independent: which registers are read and written,
+write-back) cannot be folded into per-position counts, but their
+per-event decode is scheme-independent: which registers are read and
+written,
 whether the two-level scheduler deschedules the warp (a function of
 the (position, guard) stream and the static dependence table alone),
 and whether a taken branch is backward.  :func:`hardware_event_program`
@@ -50,13 +56,15 @@ from __future__ import annotations
 import hashlib
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..hierarchy.counters import (
+    COUNTER_SLOTS,
     SLOT_INDEX,
     AccessCounters,
-    CounterKey,
     counters_from_slots,
 )
 from ..hierarchy.hw_lrf import columnar_three_level_walk
@@ -65,9 +73,6 @@ from ..ir.kernel import Kernel
 from ..levels import Level
 from .accounting import PointLiveness, shared_consumed_positions
 from .schemes import Scheme, SchemeKind
-
-#: Histogram key: (static position, guard_passed, branch_taken).
-HistogramKey = Tuple[int, bool, bool]
 
 
 def compiled_enabled() -> bool:
@@ -131,18 +136,16 @@ class CompiledTraceSet:
     warp_to_unique: List[int]
     #: Index of the first original warp carrying each unique trace.
     first_warp: List[int]
-    #: (position, guard, branch) -> dynamic execution count over all
-    #: warps (unique counts scaled by multiplicity).
-    histogram: Dict[HistogramKey, int]
+    #: Per static position: dynamic issue count over all warps (unique
+    #: counts scaled by multiplicity).
+    issued: List[int]
+    #: Per static position: how many of those issues passed the guard.
+    passed: List[int]
     dynamic_instructions: int
 
     @property
     def unique_trace_count(self) -> int:
         return len(self.unique)
-
-    def sorted_histogram(self) -> List[Tuple[HistogramKey, int]]:
-        """Histogram entries in deterministic (position-major) order."""
-        return sorted(self.histogram.items())
 
 
 def compile_traces(traces) -> CompiledTraceSet:
@@ -181,23 +184,26 @@ def compile_traces(traces) -> CompiledTraceSet:
             unique[index].multiplicity += 1
         warp_to_unique.append(index)
 
-    histogram: Dict[HistogramKey, int] = {}
+    num_positions = traces.kernel.num_instructions
+    issued = [0] * num_positions
+    passed = [0] * num_positions
     for compiled_trace in unique:
         weight = compiled_trace.multiplicity
-        for position, guard, branch in zip(
-            compiled_trace.positions,
-            compiled_trace.guards,
-            compiled_trace.branches,
-        ):
-            key = (position, bool(guard), bool(branch))
-            histogram[key] = histogram.get(key, 0) + weight
+        positions = compiled_trace.positions
+        for position, count in Counter(positions).items():
+            issued[position] += count * weight
+        for position, count in Counter(
+            compress(positions, compiled_trace.guards)
+        ).items():
+            passed[position] += count * weight
 
     compiled = CompiledTraceSet(
         kernel=traces.kernel,
         unique=unique,
         warp_to_unique=warp_to_unique,
         first_warp=first_warp,
-        histogram=histogram,
+        issued=issued,
+        passed=passed,
         dynamic_instructions=total,
     )
     traces._compiled = compiled
@@ -211,14 +217,17 @@ class StaticOperandTable:
     """Per-position operand facts, derived once from a kernel.
 
     Everything the accounting drivers ask an instruction per dynamic
-    event — GPR reads, the written GPR, word widths, datapath class,
-    latency class, and whether a taken branch is backward — indexed by
-    the instruction's static position.
+    event — GPR reads (with their operand slots), the written GPR, word
+    widths, datapath class, latency class, and whether a taken branch
+    is backward — indexed by the instruction's static position.  None
+    of it depends on annotations, so one table serves the kernel and
+    every allocated clone of it.
     """
 
     __slots__ = (
         "shared",
         "read_regs",
+        "read_layout",
         "read_words_total",
         "write_reg",
         "write_words",
@@ -229,6 +238,8 @@ class StaticOperandTable:
     def __init__(self, kernel: Kernel) -> None:
         self.shared: List[bool] = []
         self.read_regs: List[Tuple] = []
+        #: (operand slot, word count) of each GPR read.
+        self.read_layout: List[Tuple[Tuple[int, int], ...]] = []
         self.read_words_total: List[int] = []
         self.write_reg: List = []
         self.write_words: List[int] = []
@@ -239,6 +250,12 @@ class StaticOperandTable:
             written = instruction.gpr_write()
             self.shared.append(instruction.unit.is_shared)
             self.read_regs.append(reads)
+            self.read_layout.append(
+                tuple(
+                    (slot, reg.num_words)
+                    for slot, reg in instruction.gpr_reads()
+                )
+            )
             self.read_words_total.append(
                 sum(reg.num_words for reg in reads)
             )
@@ -290,69 +307,82 @@ def kernel_analyses(kernel: Kernel) -> Tuple[PointLiveness, FrozenSet[int]]:
 
 
 def baseline_counters(compiled: CompiledTraceSet) -> AccessCounters:
-    """Single-level accounting by histogram walk (MRF-only costs)."""
+    """Single-level accounting by position walk (MRF-only costs)."""
     table = operand_table(compiled.kernel)
     counters = AccessCounters()
     counts = counters.counts
-    for (position, guard, _branch), weight in compiled.sorted_histogram():
+    for position, issued in enumerate(compiled.issued):
+        if not issued:
+            continue
         shared = table.shared[position]
         read_words = table.read_words_total[position]
         if read_words:
             key = (Level.MRF, True, shared)
-            counts[key] = counts.get(key, 0) + read_words * weight
-        if guard:
-            write_words = table.write_words[position]
-            if write_words:
-                key = (Level.MRF, False, shared)
-                counts[key] = counts.get(key, 0) + write_words * weight
+            counts[key] = counts.get(key, 0) + read_words * issued
+        passed = compiled.passed[position]
+        write_words = table.write_words[position]
+        if passed and write_words:
+            key = (Level.MRF, False, shared)
+            counts[key] = counts.get(key, 0) + write_words * passed
     return counters
 
 
-#: Per-position counter deltas: applied on every issue (reads, plus
-#: read-operand ORF fills) and only when the guard passed (writes).
-_DeltaList = List[Tuple[CounterKey, int]]
+#: Per-position counter deltas as (dense counter slot, words): applied
+#: on every issue (reads, plus read-operand ORF fills) and only when the
+#: guard passed (writes).
+_DeltaList = List[Tuple[int, int]]
+
+#: Dense slot of each (level, is_read) counter on the private datapath;
+#: the shared-datapath slot is one higher (see ``COUNTER_SLOTS``).
+_READ_SLOT = {level: SLOT_INDEX[(level, True, False)] for level in Level}
+_WRITE_SLOT = {level: SLOT_INDEX[(level, False, False)] for level in Level}
 
 
 def _annotation_deltas(
-    annotated_kernel: Kernel,
+    annotated_kernel: Kernel, table: StaticOperandTable
 ) -> Tuple[List[_DeltaList], List[_DeltaList]]:
     """(read deltas, write deltas) per position of an allocated kernel.
 
-    Cached on the kernel instance; valid because allocator output is
-    never re-annotated (``evaluate_traces`` allocates fresh clones and
-    the allocation memo reuses the finished result as-is).
+    Slots, word widths and the datapath class come from ``table`` (the
+    operand table of any structurally identical kernel); only the
+    annotations are read from ``annotated_kernel``.  Cached on the
+    kernel instance, which drops the cache whenever its annotations are
+    re-stamped (:meth:`~repro.ir.kernel.Kernel.reset_annotations`,
+    :meth:`~repro.ir.kernel.Kernel.stamp_baseline`).
     """
     cached = annotated_kernel.__dict__.get("_annotation_deltas")
     if cached is not None:
         return cached
     read_deltas: List[_DeltaList] = []
     write_deltas: List[_DeltaList] = []
-    for _, instruction in annotated_kernel.instructions():
-        shared = instruction.unit.is_shared
-        src_anns = instruction.src_anns
-        reads: _DeltaList = []
-        for slot, reg in instruction.gpr_reads():
-            words = reg.num_words
-            annotation = src_anns[slot] if src_anns else None
-            if annotation is None:
-                reads.append(((Level.MRF, True, shared), words))
-                continue
-            reads.append(((annotation.level, True, shared), words))
-            if annotation.orf_write_entry is not None:
-                # Read operand allocation (Section 4.4): the MRF read
-                # is also written into the ORF, guard or no guard.
-                reads.append(((Level.ORF, False, shared), words))
-        writes: _DeltaList = []
-        written = instruction.gpr_write()
-        if written is not None:
-            words = written.num_words
-            if instruction.dst_ann is None:
-                writes.append(((Level.MRF, False, shared), words))
-            else:
-                for level in instruction.dst_ann.levels:
-                    writes.append(((level, False, shared), words))
-        read_deltas.append(reads)
-        write_deltas.append(writes)
+    position = 0
+    for block in annotated_kernel.blocks:
+        for instruction in block.instructions:
+            shared = table.shared[position]
+            src_anns = instruction.src_anns
+            reads: _DeltaList = []
+            for slot, words in table.read_layout[position]:
+                annotation = src_anns[slot] if src_anns else None
+                if annotation is None:
+                    reads.append((_READ_SLOT[Level.MRF] + shared, words))
+                    continue
+                reads.append((_READ_SLOT[annotation.level] + shared, words))
+                if annotation.orf_write_entry is not None:
+                    # Read operand allocation (Section 4.4): the MRF
+                    # read is also written into the ORF, guard or no
+                    # guard.
+                    reads.append((_WRITE_SLOT[Level.ORF] + shared, words))
+            writes: _DeltaList = []
+            words = table.write_words[position]
+            if words:
+                if instruction.dst_ann is None:
+                    writes.append((_WRITE_SLOT[Level.MRF] + shared, words))
+                else:
+                    for level in instruction.dst_ann.levels:
+                        writes.append((_WRITE_SLOT[level] + shared, words))
+            read_deltas.append(reads)
+            write_deltas.append(writes)
+            position += 1
     result = (read_deltas, write_deltas)
     annotated_kernel.__dict__["_annotation_deltas"] = result
     return result
@@ -361,22 +391,31 @@ def _annotation_deltas(
 def software_counters(
     compiled: CompiledTraceSet, annotated_kernel: Kernel
 ) -> AccessCounters:
-    """Software-scheme accounting by histogram walk.
+    """Software-scheme accounting by position walk.
 
     ``annotated_kernel`` is the allocator's output — structurally
     identical to the traced kernel, so positions align (the same
-    position-based resolution the scalar driver uses).
+    position-based resolution the scalar driver uses).  Counter keys
+    appear in position order, reads before writes, so the counters'
+    insertion order (which energy summation follows) is fixed.
     """
-    read_deltas, write_deltas = _annotation_deltas(annotated_kernel)
-    counters = AccessCounters()
-    counts = counters.counts
-    for (position, guard, _branch), weight in compiled.sorted_histogram():
-        for key, words in read_deltas[position]:
-            counts[key] = counts.get(key, 0) + words * weight
-        if guard:
-            for key, words in write_deltas[position]:
-                counts[key] = counts.get(key, 0) + words * weight
-    return counters
+    read_deltas, write_deltas = _annotation_deltas(
+        annotated_kernel, operand_table(compiled.kernel)
+    )
+    totals: Dict[int, int] = {}
+    passed_counts = compiled.passed
+    for position, issued in enumerate(compiled.issued):
+        if not issued:
+            continue
+        for slot, words in read_deltas[position]:
+            totals[slot] = totals.get(slot, 0) + words * issued
+        passed = passed_counts[position]
+        if passed:
+            for slot, words in write_deltas[position]:
+                totals[slot] = totals.get(slot, 0) + words * passed
+    return AccessCounters(
+        {COUNTER_SLOTS[slot]: count for slot, count in totals.items()}
+    )
 
 
 def merge_scaled(

@@ -9,10 +9,10 @@ Traces are materialised once per workload (:class:`TraceSet`) and
 re-accounted under every scheme, exactly like the authors' custom
 Ocelot trace-analysis tool.  Re-accounting normally runs on the
 *compiled* trace form (:mod:`repro.sim.compiled`): stateless schemes
-walk a per-trace-set execution histogram in O(static instructions),
-hardware schemes simulate each unique warp trace once and scale by
-multiplicity, and the baseline counters and liveness analyses are
-cached per trace set / kernel.  ``REPRO_COMPILED=0`` (or
+walk per-trace-set issue and guard-pass counts in O(static
+instructions), hardware schemes simulate each unique warp trace once
+and scale by multiplicity, and the baseline counters and liveness
+analyses are cached per trace set / kernel.  ``REPRO_COMPILED=0`` (or
 ``use_compiled=False``) forces the original scalar event walk, which
 is kept bit-for-bit as the differential-testing oracle.
 """
@@ -233,8 +233,8 @@ def _cached_baseline(traces: TraceSet) -> AccessCounters:
     """The trace set's single-level counters, computed once.
 
     Every scheme evaluation needs the same baseline for normalisation;
-    the compiled path derives it from the histogram and caches it on
-    the trace set.  Callers get an independent copy.
+    the compiled path derives it from the per-position counts and
+    caches it on the trace set.  Callers get an independent copy.
     """
     cached = getattr(traces, "_baseline_counters", None)
     if cached is None:

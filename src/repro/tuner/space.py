@@ -74,13 +74,10 @@ class ParameterSpace:
             )
         self.parameters = tuple(parameters)
         self.constraints = tuple(constraints)
+        self.names: Tuple[str, ...] = tuple(names)
         self._by_name = {p.name: p for p in self.parameters}
 
     # -- membership --------------------------------------------------------
-
-    @property
-    def names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in self.parameters)
 
     @property
     def size(self) -> int:

@@ -24,6 +24,10 @@ from repro.alloc import (
 from repro.alloc.analysis import _ANALYSIS_CACHE
 from repro.alloc.serialize import annotations_to_dict
 from repro.obs.provenance import ProvenanceRecorder
+from repro.sim import build_traces
+from repro.sim.runner import evaluate_traces_batch
+from repro.sim.schemes import scheme_for_config
+from repro.tuner.space import default_space
 from repro.workloads import generate_workload
 
 from ..sim.test_fuzz_regressions import CORPUS_CONFIGS, FUZZ_CORPUS
@@ -112,6 +116,41 @@ def test_fuzz_corpus_batch_equals_singles(seed):
 def test_random_kernels_batch_equals_singles(seed):
     spec = generate_workload(seed, num_warps=1)
     _check_batch_equals_singles(spec.kernel, SWEEP_CONFIGS)
+
+
+def test_tuner_space_batch_equals_singles():
+    """Every valid point of the tuner's space, the idealised axis
+    included, on corpus seed 320: the batch matches independent runs,
+    and compiled accounting of each allocation matches the scalar
+    oracle."""
+    spec = generate_workload(320)
+    space = default_space(include_ideal=True)
+    configs = [space.config(a) for a in space.assignments()]
+    assert len(configs) == 640
+    batch = allocate_kernels_batch(spec.kernel, configs)
+    clear_analysis_cache()
+    for config, batched in zip(configs, batch):
+        single = allocate_kernel(spec.kernel.clone(), config)
+        assert annotations_to_dict(batched.kernel) == annotations_to_dict(
+            single.kernel
+        )
+        assert _assignment_shape(batched) == _assignment_shape(single)
+        assert [i.ends_strand for _, i in batched.kernel.instructions()] == [
+            i.ends_strand for _, i in single.kernel.instructions()
+        ]
+
+    traces = build_traces(spec.kernel, spec.warp_inputs)
+    schemes = [scheme_for_config(config) for config in configs]
+    memo = {}
+    compiled = evaluate_traces_batch(
+        traces, schemes, allocation_memo=memo, use_compiled=True
+    )
+    scalar = evaluate_traces_batch(
+        traces, schemes, allocation_memo=memo, use_compiled=False
+    )
+    for scheme, fast, oracle in zip(schemes, compiled, scalar):
+        assert fast.counters == oracle.counters, scheme.name
+        assert fast.baseline == oracle.baseline, scheme.name
 
 
 def test_batch_result_order_matches_configs():

@@ -119,10 +119,14 @@ class TestDifferentialEquivalence:
                 for base in (0, 64)
             ],
         )
-        # Both guard outcomes appear in the trace set.
+        # Both guard outcomes appear in the trace set: some issue was
+        # squashed, some passed.
         compiled = compile_traces(traces)
-        guards = {guard for (_, guard, _), _ in compiled.histogram.items()}
-        assert guards == {True, False}
+        assert any(
+            issued > passed
+            for issued, passed in zip(compiled.issued, compiled.passed)
+        )
+        assert any(compiled.passed)
         _assert_paths_agree(traces)
 
     def test_divergent_traces(self):
@@ -278,9 +282,11 @@ class TestCompilation:
     def test_histogram_totals(self, loop_kernel, loop_inputs):
         traces = build_traces(loop_kernel, loop_inputs)
         compiled = compile_traces(traces)
-        assert (
-            sum(compiled.histogram.values())
-            == traces.dynamic_instructions
+        assert sum(compiled.issued) == traces.dynamic_instructions
+        assert len(compiled.issued) == loop_kernel.num_instructions
+        assert all(
+            0 <= passed <= issued
+            for issued, passed in zip(compiled.issued, compiled.passed)
         )
 
     def test_identical_warps_deduplicate(self, straight_kernel):
@@ -332,6 +338,10 @@ class TestCaches:
             assert table.read_regs[position] == tuple(
                 reg for _, reg in instruction.gpr_reads()
             )
+            assert table.read_layout[position] == tuple(
+                (slot, reg.num_words)
+                for slot, reg in instruction.gpr_reads()
+            )
             assert table.write_reg[position] == instruction.gpr_write()
             assert table.shared[position] == instruction.unit.is_shared
             assert (
@@ -369,6 +379,36 @@ class TestVectorizedAccounting:
         assert counters.total_reads() == baseline_counters(
             compile_traces(traces)
         ).total_reads()
+
+    def test_reallocation_in_place_refreshes_counters(self):
+        """Annotating a kernel again in place (a second allocation, or
+        a loaded annotation document) must not serve counters cached
+        from its previous annotations."""
+        from repro.alloc import AllocationConfig, allocate_kernel
+        from repro.alloc.serialize import (
+            annotations_from_dict,
+            annotations_to_dict,
+        )
+        from repro.workloads import get_workload
+
+        spec = get_workload("matrixmul", 0.5)
+        compiled = compile_traces(
+            build_traces(spec.kernel, spec.warp_inputs)
+        )
+        kernel = spec.kernel.clone()
+        allocate_kernel(kernel, AllocationConfig(orf_entries=1))
+        first = software_counters(compiled, kernel)
+        document = annotations_to_dict(kernel)
+
+        config = AllocationConfig(orf_entries=8, use_lrf=True, split_lrf=True)
+        allocate_kernel(kernel, config)
+        fresh = allocate_kernel(spec.kernel.clone(), config).kernel
+        second = software_counters(compiled, kernel)
+        assert second == software_counters(compiled, fresh)
+        assert second != first
+
+        annotations_from_dict(kernel, document)
+        assert software_counters(compiled, kernel) == first
 
     def test_merge_scaled_keeps_integers(self):
         into = AccessCounters()

@@ -1,5 +1,6 @@
 """run_tune end-to-end: determinism, memo reuse, payload invariants."""
 
+import hashlib
 import json
 
 import pytest
@@ -11,6 +12,7 @@ from repro.sim.schemes import scheme_for_config
 from repro.tuner import run_tune
 from repro.tuner.objective import candidate_metrics, dominates
 from repro.tuner.space import default_space, space_from_dict
+from repro.workloads import get_workload
 from repro.workloads.generators import generate_workload
 
 #: A branchy (divergent) fuzz kernel: hammocks and loops, so scheme
@@ -189,3 +191,51 @@ def test_tuner_observability_hooks():
     assert any(
         name.startswith("tuner_batch_candidates") for name in histograms
     )
+
+
+#: SHA-256 over every explored candidate of the exhaustive tunes in
+#: :func:`test_exhaustive_outcomes_are_bit_exact`.  Any change to an
+#: objective or MRF rate, down to the last bit, changes it.
+EXHAUSTIVE_OUTCOME_DIGEST = (
+    "7fa7e9c60ddf8a696d3b46ae7aacb4f7a32259c4f2ab99ee3d392fda5b2b4832"
+)
+
+
+def test_exhaustive_outcomes_are_bit_exact():
+    """Exhaustive 320-point tunes of three suite kernels reproduce every
+    candidate's objective and MRF accesses/instr bit for bit.
+
+    Exact floats are the contract: counter insertion order fixes the
+    energy summation order, and a one-ULP drift can flip a tie between
+    candidates.
+    """
+    space = default_space()
+    by_key = {space.key(a): a for a in space.assignments()}
+    hasher = hashlib.sha256()
+    for name in ("reduction", "scalarprod", "vectoradd"):
+        spec = get_workload(name)
+        engine = ExperimentEngine()
+        traces = build_traces(spec.kernel, spec.warp_inputs)
+        payload = run_tune(
+            traces, strategy="exhaustive", budget=320, engine=engine
+        )
+        explored = [
+            event for event in payload["trace"]
+            if event["event"] == "evaluate"
+        ]
+        assert len(explored) == space.valid_size() == 320
+        for event in explored:
+            config = space.config(by_key[event["key"]])
+            metrics = candidate_metrics(
+                engine.evaluate(traces, scheme_for_config(config)), config
+            )
+            hasher.update(
+                repr(
+                    (
+                        event["key"],
+                        repr(event["objective"]),
+                        repr(metrics["mrf_accesses_per_instruction"]),
+                    )
+                ).encode()
+            )
+    assert hasher.hexdigest() == EXHAUSTIVE_OUTCOME_DIGEST
