@@ -16,9 +16,11 @@ computes one from scratch on a pristine clone of the kernel (the clone
 is owned by the analysis and never annotated — per-config levels passes
 annotate their *own* clones, resolving instruction refs by position);
 :func:`kernel_analysis` memoizes by ``(content fingerprint,
-assume_persistent)`` exactly like the compiled-trace layer's liveness
-cache.  Attaching a :class:`~repro.obs.provenance.ProvenanceRecorder`
-to an allocation never touches this cache: every provenance event is
+assume_persistent)`` in a bounded LRU :class:`~repro.memo.Memo` of
+:data:`ANALYSIS_MEMO_ENTRIES` analyses, so a kernel in steady use stays
+cached while one-shot kernels (fuzzing, a service fed distinct IR) age
+out.  Attaching a :class:`~repro.obs.provenance.ProvenanceRecorder`
+to an allocation never touches this memo: every provenance event is
 emitted by the per-config levels pass, so recorded and unrecorded runs
 share the same cached analysis.
 """
@@ -26,11 +28,12 @@ share the same cached analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import List
 
 from ..analysis.cfg import ControlFlowGraph
 from ..analysis.reaching import ReachingDefinitions
 from ..ir.kernel import Kernel
+from ..memo import Memo
 from ..obs.tracer import TRACER
 from ..strands.model import StrandPartition
 from ..strands.partition import partition_strands
@@ -95,32 +98,31 @@ def analyze_kernel(
     )
 
 
+#: Analyses kept by :func:`kernel_analysis`.  The ``figures`` pass holds
+#: 72 (36 kernels x 2 persistence flavours).
+ANALYSIS_MEMO_ENTRIES = 128
+
 #: (kernel content fingerprint, assume_persistent) -> KernelAnalysis.
-#: Bounded like the compiled layer's analysis cache: cleared wholesale
-#: at the limit, which keeps long fuzz runs from accumulating kernels.
-_ANALYSIS_CACHE: Dict[Tuple[str, bool], KernelAnalysis] = {}
-_ANALYSIS_CACHE_LIMIT = 128
+_ANALYSES: "Memo[KernelAnalysis]" = Memo("analysis", ANALYSIS_MEMO_ENTRIES)
 
 
 def kernel_analysis(
     kernel: Kernel, assume_persistent: bool = False
 ) -> KernelAnalysis:
-    """Cached accessor for :func:`analyze_kernel`.
+    """Memoized accessor for :func:`analyze_kernel`.
 
     Analysis is deterministic in the kernel's architectural content, so
     a fingerprint hit is exact; structurally identical kernels (and all
     their clones) share one entry per ``assume_persistent`` flavour.
     """
     key = (kernel.content_fingerprint(), assume_persistent)
-    hit = _ANALYSIS_CACHE.get(key)
+    hit = _ANALYSES.get(key)
     if hit is None:
-        if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_LIMIT:
-            _ANALYSIS_CACHE.clear()
         hit = analyze_kernel(kernel, assume_persistent)
-        _ANALYSIS_CACHE[key] = hit
+        _ANALYSES.put(key, hit)
     return hit
 
 
 def clear_analysis_cache() -> None:
-    """Drop every cached analysis (benchmark cold-start, tests)."""
-    _ANALYSIS_CACHE.clear()
+    """Drop every memoized analysis (benchmark cold-start, tests)."""
+    _ANALYSES.clear()

@@ -1,17 +1,19 @@
 """The experiment engine: memoized, optionally parallel evaluation.
 
 One :class:`ExperimentEngine` instance serves a whole CLI run.  It
-layers three content-addressed stores:
+layers two content-addressed stores:
 
-* an in-memory *record* memo — (trace-set fingerprint, scheme) to
-  evaluation record; deduplicates identical evaluations across figures
-  within one run (the sensitivity sweep alone re-evaluates the same
-  pair thirty times);
-* an in-memory *allocation* memo — (kernel fingerprint, allocation
-  config, energy model) to ``AllocationResult``; every software-scheme
-  evaluation allocates a clone, so this is what keeps cloning free;
+* in-memory memos (:class:`~repro.memo.Memo`, bounded LRU) of
+  evaluation records — (trace-set fingerprint, scheme) to record;
+  deduplicates identical evaluations across figures within one run (the
+  sensitivity sweep alone re-evaluates the same pair thirty times) —
+  and of study results;
 * an optional on-disk :class:`DiskCache` holding evaluation records,
   study results (JSON) and trace sets (pickle) across runs.
+
+Allocations are not memoized: every record miss allocates its own
+clone, and the scheme-independent analysis behind it is shared through
+:func:`repro.alloc.analysis.kernel_analysis`.
 
 Parallelism is a *prefetch*: the parent computes the exact job list a
 figure run will need, fans cache misses across a
@@ -28,14 +30,13 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.kernel import Kernel
+from ..memo import Memo
 from ..obs.tracer import TRACER
 from ..sim.executor import WarpInput
 from ..sim.runner import (
-    AllocationMemo,
     KernelEvaluation,
     TraceSet,
     build_traces,
-    evaluate_traces,
     evaluate_traces_batch,
 )
 from ..sim.schemes import Scheme
@@ -55,6 +56,15 @@ from .records import (
 )
 
 
+#: Evaluation records one engine keeps in memory.  ``repro all`` holds
+#: 1,764; the service's per-worker tune engine is bounded by it.
+RECORD_MEMO_ENTRIES = 4096
+#: Study results one engine keeps in memory.
+STUDY_MEMO_ENTRIES = 64
+
+_MISSING = object()
+
+
 class ExperimentEngine:
     """Memoized experiment evaluation with optional fan-out."""
 
@@ -72,9 +82,10 @@ class ExperimentEngine:
             else None
         )
         self.metrics = metrics if metrics is not None else RunMetrics()
-        self.allocation_memo: AllocationMemo = {}
-        self._records: Dict[str, Dict[str, Any]] = {}
-        self._studies: Dict[str, Any] = {}
+        self._records: "Memo[Dict[str, Any]]" = Memo(
+            "record", RECORD_MEMO_ENTRIES, self.metrics
+        )
+        self._studies = Memo("study", STUDY_MEMO_ENTRIES, self.metrics)
 
     # -- traces ------------------------------------------------------------
 
@@ -106,82 +117,66 @@ class ExperimentEngine:
     def _lookup_record(self, key: str) -> Optional[Dict[str, Any]]:
         payload = self._records.get(key)
         if payload is not None:
-            self.metrics.count("record_memo_hits")
             return payload
         if self.cache is not None:
             payload = self.cache.get_json("records", key)
             if payload is not None and payload_is_valid(payload):
                 self.metrics.count("record_disk_hits")
-                self._records[key] = payload
+                self._records.put(key, payload)
                 return payload
         return None
 
     def _store_record(self, key: str, payload: Dict[str, Any]) -> None:
-        self._records[key] = payload
+        self._records.put(key, payload)
         if self.cache is not None:
             self.cache.put_json("records", key, payload)
 
     def evaluate(self, traces: TraceSet, scheme: Scheme) -> KernelEvaluation:
-        """Account ``traces`` under ``scheme``, memoized at every layer."""
-        return self._evaluate_keyed(
-            traces, scheme, record_key(traces, scheme)
-        )
-
-    def _evaluate_keyed(
-        self, traces: TraceSet, scheme: Scheme, key: str
-    ) -> KernelEvaluation:
-        payload = self._lookup_record(key)
-        if payload is not None:
-            return evaluation_from_payload(payload, scheme)
-        self.metrics.count("record_misses")
-        with self.metrics.stage("evaluate"):
-            with TRACER.span(
-                "engine.evaluate",
-                kernel=traces.kernel.name,
-                scheme=scheme.name,
-            ):
-                evaluation = evaluate_traces(
-                    traces, scheme, allocation_memo=self.allocation_memo
-                )
-        self._store_record(key, record_payload(evaluation))
+        """Account ``traces`` under ``scheme``: a batch of one."""
+        (evaluation,) = self.evaluate_batch(traces, [scheme])
         return evaluation
 
     def evaluate_batch(
         self, traces: TraceSet, schemes: Sequence[Scheme]
     ) -> List[KernelEvaluation]:
-        """Account ``traces`` under every scheme, sharing batched work.
+        """Account ``traces`` under every scheme, memoized at every layer.
 
-        Record-memo misses are evaluated together through
+        Records already in the memo (or on disk) are served from there
+        and counted as hits.  The rest are evaluated together through
         :func:`~repro.sim.runner.evaluate_traces_batch`, so all
         software schemes share one kernel analysis (and, on the
-        compiled path, hardware schemes share one trace walk).  The
-        returned records are identical to per-scheme :meth:`evaluate`
-        calls — which is how they are served, from the freshly filled
-        memo.  Each scheme's record key is hashed once per call.
+        compiled path, hardware schemes share one trace walk), and
+        each is counted once in ``record_misses``.  Every record comes
+        back through :func:`evaluation_from_payload`, so a fresh record
+        is identical to one served from the memo.
         """
         keys = [record_key(traces, scheme) for scheme in schemes]
+        payloads: Dict[str, Dict[str, Any]] = {}
         missing: Dict[str, Scheme] = {}
         for scheme, key in zip(schemes, keys):
-            if key in missing or self._lookup_record(key) is not None:
+            if key in payloads or key in missing:
                 continue
-            missing[key] = scheme
+            payload = self._lookup_record(key)
+            if payload is None:
+                missing[key] = scheme
+            else:
+                payloads[key] = payload
         if missing:
             self.metrics.count("record_misses", len(missing))
             with self.metrics.stage("evaluate"):
                 with TRACER.span(
-                    "engine.evaluate_batch",
+                    "engine.evaluate",
                     kernel=traces.kernel.name,
                     schemes=len(missing),
                 ):
                     evaluations = evaluate_traces_batch(
-                        traces,
-                        list(missing.values()),
-                        allocation_memo=self.allocation_memo,
+                        traces, list(missing.values())
                     )
             for key, evaluation in zip(missing, evaluations):
-                self._store_record(key, record_payload(evaluation))
+                payloads[key] = record_payload(evaluation)
+                self._store_record(key, payloads[key])
         return [
-            self._evaluate_keyed(traces, scheme, key)
+            evaluation_from_payload(payloads[key], scheme)
             for scheme, key in zip(schemes, keys)
         ]
 
@@ -197,19 +192,19 @@ class ExperimentEngine:
         runs on a miss.
         """
         key = digest("study", *parts)
-        if key in self._studies:
-            self.metrics.count("study_memo_hits")
-            return self._studies[key]
+        value = self._studies.get(key, _MISSING)
+        if value is not _MISSING:
+            return value
         if self.cache is not None:
             cached = self.cache.get_json("studies", key)
             if cached is not None:
                 self.metrics.count("study_disk_hits")
-                self._studies[key] = cached["value"]
+                self._studies.put(key, cached["value"])
                 return cached["value"]
         self.metrics.count("study_misses")
         with self.metrics.stage("studies"):
             value = compute()
-        self._studies[key] = value
+        self._studies.put(key, value)
         if self.cache is not None:
             self.cache.put_json("studies", key, {"schema": 1, "value": value})
         return value
@@ -231,7 +226,8 @@ class ExperimentEngine:
         where and when they are computed.
         """
         pool_jobs: List[Tuple[str, EvaluationJob]] = []
-        inline: List[Tuple[str, TraceSet, Scheme]] = []
+        pool_items: List[Tuple[TraceSet, Scheme]] = []
+        inline: List[Tuple[TraceSet, Scheme]] = []
         seen = set()
         for spec, traces in items:
             for scheme in schemes:
@@ -244,8 +240,9 @@ class ExperimentEngine:
                     pool_jobs.append(
                         (key, EvaluationJob(name, scale, scheme))
                     )
+                    pool_items.append((traces, scheme))
                 else:
-                    inline.append((key, traces, scheme))
+                    inline.append((traces, scheme))
 
         if pool_jobs:
             self.metrics.count("jobs_submitted", len(pool_jobs))
@@ -271,20 +268,12 @@ class ExperimentEngine:
                     # Pool unavailable (restricted environment) or a
                     # worker died: fall back to computing inline.
                     self.metrics.count("jobs_failed", len(pool_jobs))
-                    by_key = {
-                        record_key(traces, scheme): (traces, scheme)
-                        for _, traces in items
-                        for scheme in schemes
-                    }
-                    for key, _ in pool_jobs:
-                        if self._records.get(key) is None:
-                            traces, scheme = by_key[key]
-                            self.evaluate(traces, scheme)
+                    inline.extend(pool_items)
 
         # Inline evaluations are grouped per trace set so batched
         # misses share one kernel analysis across schemes.
         grouped: Dict[int, Tuple[TraceSet, List[Scheme]]] = {}
-        for key, traces, scheme in inline:
+        for traces, scheme in inline:
             entry = grouped.setdefault(id(traces), (traces, []))
             entry[1].append(scheme)
         for traces, batch in grouped.values():

@@ -9,16 +9,19 @@ would have computed itself.  That property is what lets the parent
 merge pool results in submission order and still produce byte-identical
 figure output.
 
-Workers keep per-process memos (traces per workload, allocations per
-config) so a worker that receives several schemes for one workload
-only traces and allocates it once.
+Each worker process keeps one bounded memo of registry trace sets
+(:func:`workload_traces`), shared with the service's workers, so a
+worker that receives several schemes for one workload traces it once.
+Allocations are not memoized; the allocator's analysis memo already
+shares the costly scheme-independent phase across schemes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Tuple
+from typing import Any, Dict
 
+from ..memo import Memo
 from ..sim.runner import TraceSet, build_traces, evaluate_traces
 from ..sim.schemes import Scheme
 from ..workloads.suites import get_workload
@@ -34,25 +37,26 @@ class EvaluationJob:
     scheme: Scheme
 
 
-#: Per-worker-process memos, keyed by (workload name, scale).
-_WORKER_TRACES: Dict[Tuple[str, float], TraceSet] = {}
-_WORKER_ALLOCATIONS: Dict = {}
+#: Registry trace sets one worker process keeps: the suite holds 36
+#: workloads; service requests may name any scale.
+WORKLOAD_TRACE_ENTRIES = 64
+
+#: (workload name, scale) -> TraceSet, per worker process.
+_TRACE_SETS: "Memo[TraceSet]" = Memo("traces", WORKLOAD_TRACE_ENTRIES)
 
 
-def _worker_traces(workload: str, scale: float) -> TraceSet:
+def workload_traces(workload: str, scale: float) -> TraceSet:
+    """The registry workload's trace set, built once per process."""
     key = (workload, scale)
-    traces = _WORKER_TRACES.get(key)
+    traces = _TRACE_SETS.get(key)
     if traces is None:
         spec = get_workload(workload, scale)
         traces = build_traces(spec.kernel, spec.warp_inputs)
-        _WORKER_TRACES[key] = traces
+        _TRACE_SETS.put(key, traces)
     return traces
 
 
 def run_evaluation_job(job: EvaluationJob) -> Dict[str, Any]:
     """Worker entry point: returns the JSON evaluation record."""
-    traces = _worker_traces(job.workload, job.scale)
-    evaluation = evaluate_traces(
-        traces, job.scheme, allocation_memo=_WORKER_ALLOCATIONS
-    )
-    return record_payload(evaluation)
+    traces = workload_traces(job.workload, job.scale)
+    return record_payload(evaluate_traces(traces, job.scheme))

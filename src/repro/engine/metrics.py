@@ -10,7 +10,8 @@ Every engine run accumulates one :class:`RunMetrics`.  The JSON schema
       "counters": {"record_memo_hits": 120, "record_disk_hits": 36,
                    "record_misses": 42, "trace_cache_hits": 36,
                    "jobs_submitted": 42, "jobs_completed": 42, ...},
-      "gauges":   {"service_in_flight": 3, "service_queue_depth": 1},
+      "gauges":   {"record_memo_entries": 78, "service_in_flight": 3,
+                   "service_queue_depth": 1},
       "histograms": {
         "http_request_seconds": {"bounds": [...], "bucket_counts": [...],
                                  "sum": 1.25, "count": 240}
@@ -21,10 +22,27 @@ Stage values are wall-clock seconds summed over all entries into that
 stage; counters are monotone event counts; gauges are point-in-time
 samples (last write wins — the allocation service publishes its queue
 depth and in-flight count here); histograms are fixed-bucket latency
-distributions (:class:`repro.obs.registry.Histogram`).  Unknown keys
-must be ignored by consumers so the schema can grow: schema 2 added
-``gauges``, schema 3 added ``histograms``, and readers of older
-documents must treat the missing key as empty.
+distributions (:class:`repro.obs.registry.Histogram`).
+
+Cache counters follow one pattern per memo name — ``record`` and
+``study`` (the engine), ``service`` (the server's result memo):
+
+* ``<name>_memo_hits`` — served from the in-memory memo;
+* ``<name>_disk_hits`` — served from the on-disk cache;
+* ``<name>_misses`` — computed fresh (``service`` counts
+  ``jobs_executed`` instead);
+* ``<name>_evictions`` — entries the bounded memo dropped;
+* gauge ``<name>_memo_entries`` — entries held now.
+
+The memo itself (:class:`repro.memo.Memo`) counts the hits and
+evictions and sets the gauge; the owner counts disk hits and misses
+where it reads the disk or computes.  Also counted:
+``trace_cache_hits``/``_misses`` and ``jobs_submitted``/``_completed``/
+``_failed``.
+
+Unknown keys must be ignored by consumers so the schema can grow:
+schema 2 added ``gauges``, schema 3 added ``histograms``, and readers
+of older documents must treat the missing key as empty.
 
 ``stage`` additionally opens a tracer span (``repro.obs.tracer``) and,
 when a :class:`repro.obs.profiling.StageProfiler` is installed, runs

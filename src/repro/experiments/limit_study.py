@@ -123,10 +123,9 @@ def _sw_energy(
     def compute() -> float:
         total = AccessCounters()
         baseline = AccessCounters()
-        memo = engine.allocation_memo if engine is not None else None
         for spec, traces in data.items:
             allocation = allocate_for_traces(
-                spec.kernel, config, model=accounting_model, memo=memo
+                spec.kernel, config, model=accounting_model
             )
             for trace in traces.warp_traces:
                 driver = SoftwareAccounting(total, allocation.kernel)

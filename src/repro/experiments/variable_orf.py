@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alloc.allocator import AllocationConfig
+from ..alloc.analysis import kernel_analysis
 from ..energy.accounting import compute_energy
 from ..energy.model import EnergyModel
 from ..hierarchy.counters import AccessCounters
@@ -126,19 +127,22 @@ def collect_strand_executions(
     """
     per_warp: List[List[StrandExecution]] = []
     baseline = AccessCounters()
-    memo: Dict = {}
 
     # Pass 0: split every warp's trace into executions; account the
-    # all-MRF fallback and the baseline.
-    raw: List[Tuple[object, TraceSet, List[List[List[TraceEvent]]]]] = []
+    # all-MRF fallback and the baseline.  Strands are scheme-independent,
+    # so the partition comes from the allocator's analysis.
+    raw: List[
+        Tuple[object, Dict[int, int], List[List[List[TraceEvent]]]]
+    ] = []
     for spec, traces in items:
-        result = allocate_for_traces(spec.kernel, base_config, memo=memo)
-        strand_map = result.partition.strand_of_position
+        strand_map = kernel_analysis(
+            spec.kernel, base_config.assume_persistent_strands
+        ).partition.strand_of_position
         warp_splits = [
             _split_executions(trace, strand_map)
             for trace in traces.warp_traces
         ]
-        raw.append((spec, traces, warp_splits))
+        raw.append((spec, strand_map, warp_splits))
         for trace in traces.warp_traces:
             baseline.merge(_account_events(trace, software=False))
 
@@ -146,14 +150,14 @@ def collect_strand_executions(
     counters_store: Dict[
         Tuple[int, int, int], Dict[int, AccessCounters]
     ] = {}
-    for workload_index, (spec, traces, warp_splits) in enumerate(raw):
+    for workload_index, (_, _, warp_splits) in enumerate(raw):
         for warp_index, executions in enumerate(warp_splits):
             for exec_index, events in enumerate(executions):
                 counters_store[
                     (workload_index, warp_index, exec_index)
                 ] = {0: _account_events(events, software=False)}
     for size in SIZES:
-        for workload_index, (spec, traces, warp_splits) in enumerate(raw):
+        for workload_index, (spec, _, warp_splits) in enumerate(raw):
             config = AllocationConfig(
                 orf_entries=size,
                 use_lrf=base_config.use_lrf,
@@ -162,7 +166,7 @@ def collect_strand_executions(
                 enable_read_operands=base_config.enable_read_operands,
                 allow_forward_branches=base_config.allow_forward_branches,
             )
-            allocation = allocate_for_traces(spec.kernel, config, memo=memo)
+            allocation = allocate_for_traces(spec.kernel, config)
             for warp_index, executions in enumerate(warp_splits):
                 for exec_index, events in enumerate(executions):
                     counters_store[
@@ -173,10 +177,7 @@ def collect_strand_executions(
                     )
 
     warp_counter = 0
-    for workload_index, (spec, traces, warp_splits) in enumerate(raw):
-        strand_map = allocate_for_traces(
-            spec.kernel, base_config, memo=memo
-        ).partition.strand_of_position
+    for workload_index, (spec, strand_map, warp_splits) in enumerate(raw):
         for warp_index, executions in enumerate(warp_splits):
             sequence: List[StrandExecution] = []
             for exec_index, events in enumerate(executions):

@@ -1,4 +1,4 @@
-"""Observability: span tracing, allocation provenance, metrics registry.
+"""Observability: span tracing, allocation provenance, metric histograms.
 
 Light re-exports only — :mod:`repro.obs.explain` (which depends on the
 allocator) is intentionally not imported here so low-level modules like
@@ -10,7 +10,6 @@ from .provenance import ProvenanceEvent, ProvenanceRecorder
 from .registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     Histogram,
-    MetricsRegistry,
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
@@ -19,7 +18,6 @@ from .tracer import TRACER, Span, Tracer, traced_call
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS_S",
     "Histogram",
-    "MetricsRegistry",
     "PROMETHEUS_CONTENT_TYPE",
     "ProvenanceEvent",
     "ProvenanceRecorder",

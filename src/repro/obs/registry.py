@@ -1,12 +1,12 @@
-"""Unified metrics registry: counters, gauges, and fixed-bucket
-histograms, with Prometheus text exposition (stdlib only).
+"""Metric building blocks: fixed-bucket histograms and Prometheus text
+exposition (stdlib only).
 
-This subsumes the flat counter/gauge dicts that :class:`RunMetrics`
-(``repro.engine.metrics``) has carried since schema 1 and adds the
-missing aggregate: **histograms** with fixed upper-bound buckets, used
-for service request latencies and engine stage durations.  Buckets are
-fixed at creation so merging snapshots and rendering cumulative
-Prometheus ``_bucket`` series is exact, never interpolated.
+:class:`RunMetrics` (``repro.engine.metrics``) owns the counters,
+gauges and histograms of a run; this module supplies its aggregate,
+**histograms** with fixed upper-bound buckets, used for service request
+latencies and engine stage durations.  Buckets are fixed at creation so
+merging snapshots and rendering cumulative Prometheus ``_bucket``
+series is exact, never interpolated.
 
 :func:`render_prometheus` turns a ``RunMetrics.to_dict()`` snapshot
 into Prometheus text exposition format v0.0.4 — the format served by
@@ -16,7 +16,7 @@ into Prometheus text exposition format v0.0.4 — the format served by
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 #: Default latency buckets (seconds): 250µs .. 10s, roughly 1-2.5-5 per
 #: decade — wide enough for cold service requests, fine enough for warm
@@ -115,41 +115,6 @@ class Histogram:
             self.bucket_counts[index] += bucket
         self.total += other.total
         self.count += other.count
-
-
-class MetricsRegistry:
-    """Named counters, gauges, and histograms under one roof."""
-
-    def __init__(self) -> None:
-        self.counters: Dict[str, int] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, Histogram] = {}
-
-    def count(self, name: str, amount: int = 1) -> None:
-        self.counters[name] = self.counters.get(name, 0) + amount
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = value
-
-    def histogram(
-        self,
-        name: str,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> Histogram:
-        """Get-or-create: the first caller fixes the bucket layout."""
-        existing = self.histograms.get(name)
-        if existing is None:
-            existing = Histogram(buckets)
-            self.histograms[name] = existing
-        return existing
-
-    def observe(
-        self,
-        name: str,
-        value: float,
-        buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS_S,
-    ) -> None:
-        self.histogram(name, buckets).observe(value)
 
 
 # -- Prometheus text exposition v0.0.4 ------------------------------------

@@ -7,15 +7,15 @@ The package layers, bottom up:
   taxonomy (HTTP status per error class), and content fingerprints for
   request deduplication;
 * :mod:`repro.service.pipeline` — the worker-side compute: a picklable
-  job dict in, a JSON result dict out, with per-process memos
-  mirroring :mod:`repro.engine.jobs`;
+  job dict in, a JSON result dict out, sharing the registry trace memo
+  of :mod:`repro.engine.jobs`;
 * :mod:`repro.service.batcher` — micro-batching dispatcher with
   in-flight deduplication, bounded admission (backpressure), and
   per-request timeouts;
 * :mod:`repro.service.httpd` — a hand-rolled HTTP/1.1 server on
   asyncio streams (stdlib only, no ``http.server``);
-* :mod:`repro.service.server` — the service itself: routing, result
-  memo + :class:`repro.engine.cache.DiskCache` reuse, metrics,
+* :mod:`repro.service.server` — the service itself: routing, bounded
+  result memo + :class:`repro.engine.cache.DiskCache` reuse, metrics,
   graceful drain;
 * :mod:`repro.service.client` — the one HTTP client: a keep-alive
   connection pool, an async client with the one retry loop, and a thin

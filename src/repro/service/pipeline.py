@@ -4,13 +4,14 @@
 boundary: a canonical job dict in (see
 :func:`repro.service.protocol.normalize_request`), a JSON result dict
 out.  Like :mod:`repro.engine.jobs`, nothing heavyweight is pickled —
-workers rebuild benchmarks from the registry and re-parse IR text, and
-keep per-process memos (parsed kernels, trace sets, allocations) so a
-worker that sees several schemes for one kernel traces and allocates
-it once.
+workers rebuild benchmarks from the registry and re-parse IR text.
+Registry trace sets come from the engine workers' bounded memo
+(:func:`repro.engine.jobs.workload_traces`); IR-text jobs parse and
+trace directly, since the server's result memo already absorbs
+repeated requests.
 
 Jobs are single-scheme, but the allocator's scheme-independent
-analysis phase (:mod:`repro.alloc.analysis`) is cached per process by
+analysis phase (:mod:`repro.alloc.analysis`) is memoized per process by
 kernel content fingerprint — so a worker handling N schemes of one
 kernel analyses it once and runs only the per-config levels pass N
 times, the same sharing the in-process engine gets from
@@ -22,22 +23,20 @@ service response byte-comparable to the direct engine path.
 
 Tune jobs run the whole design-space search in the worker
 (:func:`repro.tuner.runner.run_tune`) against a per-process
-:class:`~repro.engine.ExperimentEngine`, whose record memo carries
-candidate evaluations across tune requests landing on the same worker.
+:class:`~repro.engine.ExperimentEngine`, whose bounded record memo
+carries candidate evaluations across tune requests landing on the same
+worker.
 """
 
 from __future__ import annotations
 
-import hashlib
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict
 
 from ..alloc.serialize import annotations_to_dict
-from ..engine.hashing import json_fingerprint
+from ..engine.jobs import workload_traces
 from ..engine.records import record_payload
-from ..ir.kernel import Kernel
 from ..ir.parser import parse_kernels
 from ..sim.runner import (
-    AllocationMemo,
     TraceSet,
     allocate_for_traces,
     build_traces,
@@ -47,14 +46,6 @@ from ..workloads.suites import get_workload
 from .protocol import scheme_from_json, warps_from_json
 
 RESULT_SCHEMA = 1
-
-#: Per-worker-process memos.  Keys are content-derived (text digest,
-#: registry name + scale), so results never depend on which process
-#: computed them.
-_KERNELS: Dict[str, Kernel] = {}
-_TRACES: Dict[Tuple[str, str], TraceSet] = {}
-_BENCH_TRACES: Dict[Tuple[str, float], TraceSet] = {}
-_ALLOCATIONS: AllocationMemo = {}
 
 #: Per-process engine for tune jobs: the search evaluates dozens of
 #: schemes per request, and the engine's record memo carries candidate
@@ -76,39 +67,11 @@ def _probe() -> str:
     return "ok"
 
 
-def _text_kernel(text: str) -> Kernel:
-    key = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    kernel = _KERNELS.get(key)
-    if kernel is None:
-        kernel = parse_kernels(text)[0]
-        _KERNELS[key] = kernel
-    return kernel
-
-
-def _text_traces(text: str, warps_json: List[Dict[str, Any]]) -> TraceSet:
-    kernel = _text_kernel(text)
-    key = (kernel.content_fingerprint(), json_fingerprint(warps_json))
-    traces = _TRACES.get(key)
-    if traces is None:
-        traces = build_traces(kernel, warps_from_json(warps_json))
-        _TRACES[key] = traces
-    return traces
-
-
-def _benchmark_traces(name: str, scale: float) -> TraceSet:
-    key = (name, scale)
-    traces = _BENCH_TRACES.get(key)
-    if traces is None:
-        spec = get_workload(name, scale)
-        traces = build_traces(spec.kernel, spec.warp_inputs)
-        _BENCH_TRACES[key] = traces
-    return traces
-
-
 def _job_traces(payload: Dict[str, Any]) -> TraceSet:
     if payload.get("benchmark") is not None:
-        return _benchmark_traces(payload["benchmark"], payload["scale"])
-    return _text_traces(payload["kernel"], payload["warps"])
+        return workload_traces(payload["benchmark"], payload["scale"])
+    kernel = parse_kernels(payload["kernel"])[0]
+    return build_traces(kernel, warps_from_json(payload["warps"]))
 
 
 def run_service_job(payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -139,9 +102,7 @@ def run_service_job(payload: Dict[str, Any]) -> Dict[str, Any]:
     scheme = scheme_from_json(payload["scheme"])
     if op == "evaluate":
         traces = _job_traces(payload)
-        evaluation = evaluate_traces(
-            traces, scheme, allocation_memo=_ALLOCATIONS
-        )
+        evaluation = evaluate_traces(traces, scheme)
         return {
             "schema": RESULT_SCHEMA,
             "op": op,
@@ -155,10 +116,8 @@ def run_service_job(payload: Dict[str, Any]) -> Dict[str, Any]:
                 payload["benchmark"], payload["scale"]
             ).kernel
         else:
-            kernel = _text_kernel(payload["kernel"])
-        allocation = allocate_for_traces(
-            kernel, scheme.allocation_config(), memo=_ALLOCATIONS
-        )
+            kernel = parse_kernels(payload["kernel"])[0]
+        allocation = allocate_for_traces(kernel, scheme.allocation_config())
         return {
             "schema": RESULT_SCHEMA,
             "op": op,

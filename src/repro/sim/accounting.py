@@ -58,14 +58,18 @@ class PointLiveness:
         return self._after[position]
 
 
-def shared_consumed_positions(kernel: Kernel) -> FrozenSet[int]:
+def shared_consumed_positions(
+    kernel: Kernel, reaching: Optional[ReachingDefinitions] = None
+) -> FrozenSet[int]:
     """Positions of instructions whose result may feed a shared unit.
 
     Used by the hardware three-level model: such results bypass the LRF
     because the shared datapath cannot read it (Section 6.2).
+    ``reaching`` may supply the reaching definitions of any structurally
+    identical kernel (refs resolve by position).
     """
-    cfg = ControlFlowGraph(kernel)
-    reaching = ReachingDefinitions(kernel, cfg)
+    if reaching is None:
+        reaching = ReachingDefinitions(kernel, ControlFlowGraph(kernel))
     positions: Set[int] = set()
     for definition in reaching.definitions:
         if definition.ref is None:

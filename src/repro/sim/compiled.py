@@ -59,8 +59,10 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
+from ..alloc.analysis import kernel_analysis
+from ..analysis.liveness import LivenessAnalysis
 from ..hierarchy.counters import (
     COUNTER_SLOTS,
     SLOT_INDEX,
@@ -71,7 +73,7 @@ from ..hierarchy.hw_lrf import columnar_three_level_walk
 from ..hierarchy.rfc import columnar_rfc_walk
 from ..ir.kernel import Kernel
 from ..levels import Level
-from .accounting import PointLiveness, shared_consumed_positions
+from .accounting import shared_consumed_positions
 from .schemes import Scheme, SchemeKind
 
 
@@ -281,28 +283,6 @@ def operand_table(kernel: Kernel) -> StaticOperandTable:
     return cached
 
 
-# -- shared analysis cache -------------------------------------------------
-
-#: kernel content fingerprint -> (PointLiveness, shared positions).
-#: Structurally identical kernels share one analysis (registers and
-#: positions are value objects), so clones and cache-restored kernels
-#: hit.  Bounded so fuzzed throwaway kernels cannot grow it forever.
-_ANALYSIS_CACHE: Dict[str, Tuple[PointLiveness, FrozenSet[int]]] = {}
-_ANALYSIS_CACHE_LIMIT = 256
-
-
-def kernel_analyses(kernel: Kernel) -> Tuple[PointLiveness, FrozenSet[int]]:
-    """Cached (liveness, shared-consumed positions) for a kernel."""
-    fingerprint = kernel.content_fingerprint()
-    hit = _ANALYSIS_CACHE.get(fingerprint)
-    if hit is None:
-        if len(_ANALYSIS_CACHE) >= _ANALYSIS_CACHE_LIMIT:
-            _ANALYSIS_CACHE.clear()
-        hit = (PointLiveness(kernel), shared_consumed_positions(kernel))
-        _ANALYSIS_CACHE[fingerprint] = hit
-    return hit
-
-
 # -- vectorized stateless accounting ---------------------------------------
 
 
@@ -457,7 +437,13 @@ class HardwareStaticTable:
     )
 
     def __init__(self, kernel: Kernel) -> None:
-        liveness, shared_positions = kernel_analyses(kernel)
+        # The control flow and reaching definitions come from the
+        # allocator's scheme-independent analysis (memoized by content),
+        # so every scheme of a kernel shares one derivation.
+        analysis = kernel_analysis(kernel)
+        shared_positions = shared_consumed_positions(
+            kernel, analysis.reaching
+        )
         table = operand_table(kernel)
         reg_ids: Dict = {}
         self.words: List[int] = []
@@ -499,14 +485,24 @@ class HardwareStaticTable:
                     result |= 1 << index
             return result
 
-        self.live_before_masks = [
-            mask(liveness.before_position(position))
-            for position in range(num_positions)
-        ]
-        self.live_after_masks = [
-            mask(liveness.after_position(position))
-            for position in range(num_positions)
-        ]
+        # The sets PointLiveness answers per point, as bitmasks, in one
+        # backward sweep per block from its live-out set: a guard-free
+        # write kills its register, then the reads make theirs live.
+        liveness = LivenessAnalysis(kernel, analysis.cfg)
+        self.live_before_masks = [0] * num_positions
+        self.live_after_masks = [0] * num_positions
+        position = num_positions
+        for index in reversed(range(len(kernel.blocks))):
+            live = mask(liveness.live_out[index])
+            for instruction in reversed(kernel.blocks[index].instructions):
+                position -= 1
+                self.live_after_masks[position] = live
+                written = self.write_id[position]
+                if written >= 0 and instruction.guard is None:
+                    live &= ~(1 << written)
+                for read_id, _ in self.read_items[position]:
+                    live |= 1 << read_id
+                self.live_before_masks[position] = live
 
 
 def hardware_static_table(kernel: Kernel) -> HardwareStaticTable:

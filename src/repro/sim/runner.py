@@ -11,16 +11,26 @@ Ocelot trace-analysis tool.  Re-accounting normally runs on the
 *compiled* trace form (:mod:`repro.sim.compiled`): stateless schemes
 walk per-trace-set issue and guard-pass counts in O(static
 instructions), hardware schemes simulate each unique warp trace once
-and scale by multiplicity, and the baseline counters and liveness
-analyses are cached per trace set / kernel.  ``REPRO_COMPILED=0`` (or
-``use_compiled=False``) forces the original scalar event walk, which
-is kept bit-for-bit as the differential-testing oracle.
+and scale by multiplicity, and the baseline counters and the hardware
+walk table are cached on the trace set and the kernel.
+``REPRO_COMPILED=0`` (or ``use_compiled=False``) forces the original
+scalar event walk, which is kept bit-for-bit as the
+differential-testing oracle.
+
+There is one evaluation path, in two steps: :func:`allocate_schemes`
+allocates every software scheme of a batch on its own clone of the
+kernel, sharing one analysis, and :func:`account_traces_batch` accounts
+the traces under each scheme with the allocation it was handed.
+:func:`evaluate_traces_batch` runs both; :func:`evaluate_traces` is a
+batch of one.  Nothing here memoizes an allocation: the only state
+kept across schemes is scheme-independent (the traces, the compiled
+form, the allocator's analysis memo).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, MutableMapping, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..alloc.allocator import (
     AllocationConfig,
@@ -120,113 +130,39 @@ class KernelEvaluation:
     allocation: Optional[AllocationResult] = None
 
 
-#: Memo for clone-based allocations, shared across scheme evaluations.
-#: Keyed on (kernel content fingerprint, allocation config, energy
-#: model); both value types are frozen dataclasses, so plain dict
-#: lookup gives exact-match semantics.  The model component is
-#: *normalized*: ``None`` and an explicit model equal to
-#: ``config.energy_model()`` map to the same key, since they produce
-#: identical allocations.
-AllocationMemo = MutableMapping[
-    Tuple[str, AllocationConfig, Optional[EnergyModel]], AllocationResult
-]
-
-
-def _memo_model(
-    config: AllocationConfig, model: Optional[EnergyModel]
-) -> Optional[EnergyModel]:
-    """The memo key's model component, with the default folded to None.
-
-    ``allocate_kernel(model=None)`` uses ``config.energy_model()``, so
-    passing that model explicitly cannot change the result; keying both
-    spellings identically stops them from duplicating allocations.
-    """
-    if model is None or model == config.energy_model():
-        return None
-    return model
-
-
-def allocation_memo_key(
-    kernel: Kernel,
-    config: AllocationConfig,
-    model: Optional[EnergyModel] = None,
-) -> Tuple[str, AllocationConfig, Optional[EnergyModel]]:
-    """The normalized memo key for one (kernel, config, model) triple."""
-    return (
-        kernel.content_fingerprint(),
-        config,
-        _memo_model(config, model),
-    )
-
-
 def allocate_for_traces(
     kernel: Kernel,
     config: AllocationConfig,
     model: Optional[EnergyModel] = None,
-    memo: Optional[AllocationMemo] = None,
 ) -> AllocationResult:
     """Allocate a pristine clone of ``kernel`` — never the original.
 
     The traced kernel keeps whatever annotations it had; accounting
-    resolves the clone's annotations by instruction position.  With a
-    ``memo``, repeated evaluations of one kernel under one config reuse
-    the allocation instead of re-running the levels pass.  Even on a
-    memo miss the scheme-independent analysis phase comes from the
-    shared cache (:func:`repro.alloc.analysis.kernel_analysis`), so a
-    multi-config sweep pays for it once per kernel.
+    resolves the clone's annotations by instruction position.  The
+    scheme-independent analysis phase comes from the shared memo
+    (:func:`repro.alloc.analysis.kernel_analysis`), so a multi-config
+    sweep pays for it once per kernel.
     """
-    if memo is None:
-        return allocate_kernel(kernel.clone(), config, model=model)
-    key = allocation_memo_key(kernel, config, model)
-    allocation = memo.get(key)
-    if allocation is None:
-        allocation = allocate_kernel(kernel.clone(), config, model=model)
-        memo[key] = allocation
-    return allocation
+    return allocate_kernel(kernel.clone(), config, model=model)
 
 
-def allocate_for_traces_batch(
+def allocate_schemes(
     kernel: Kernel,
-    configs: Sequence[AllocationConfig],
+    schemes: Sequence[Scheme],
     model: Optional[EnergyModel] = None,
-    memo: Optional[AllocationMemo] = None,
-) -> List[AllocationResult]:
-    """Allocate one kernel under many configs, sharing the analysis.
+) -> List[Optional[AllocationResult]]:
+    """One allocation per scheme, parallel to ``schemes``.
 
-    Results match ``[allocate_for_traces(kernel, c, model, memo) for c
-    in configs]`` exactly; memo misses are funneled through
-    :func:`repro.alloc.allocator.allocate_kernels_batch` so the
-    scheme-independent phase runs once per persistence flavour instead
-    of once per config.
+    Software schemes are allocated together through
+    :func:`repro.alloc.allocator.allocate_kernels_batch` (one analysis
+    per persistence flavour, one levels pass per scheme, each on its
+    own clone); hardware and baseline schemes get ``None``.
     """
-    if memo is None:
-        return allocate_kernels_batch(kernel, list(configs), model=model)
-    results: List[Optional[AllocationResult]] = [None] * len(configs)
-    missing: List[int] = []
-    queued: set = set()
-    for index, config in enumerate(configs):
-        key = allocation_memo_key(kernel, config, model)
-        hit = memo.get(key)
-        if hit is not None:
-            results[index] = hit
-        elif key not in queued:
-            # Duplicate keys within one batch allocate once.
-            queued.add(key)
-            missing.append(index)
-    if missing:
-        fresh = allocate_kernels_batch(
-            kernel, [configs[i] for i in missing], model=model
-        )
-        for index, allocation in zip(missing, fresh):
-            memo[
-                allocation_memo_key(kernel, configs[index], model)
-            ] = allocation
-    for index, config in enumerate(configs):
-        if results[index] is None:
-            results[index] = memo[
-                allocation_memo_key(kernel, config, model)
-            ]
-    return results  # type: ignore[return-value]
+    configs = [s.allocation_config() for s in schemes if s.kind.is_software]
+    if not configs:
+        return [None] * len(schemes)
+    fresh = iter(allocate_kernels_batch(kernel, configs, model=model))
+    return [next(fresh) if s.kind.is_software else None for s in schemes]
 
 
 def _cached_baseline(traces: TraceSet) -> AccessCounters:
@@ -248,10 +184,9 @@ def evaluate_traces(
     scheme: Scheme,
     *,
     energy_model: Optional[EnergyModel] = None,
-    allocation_memo: Optional[AllocationMemo] = None,
     use_compiled: Optional[bool] = None,
 ) -> KernelEvaluation:
-    """Account a workload's traces under one scheme.
+    """Account a workload's traces under one scheme: a batch of one.
 
     Pure with respect to ``traces``: software schemes run the allocator
     on a clone of the kernel, so evaluating the same ``TraceSet`` under
@@ -262,39 +197,10 @@ def evaluate_traces(
     Both paths produce identical counters — the scalar path is the
     oracle the compiled path is differentially tested against.
     """
-    if use_compiled is None:
-        use_compiled = compiled_enabled()
-    kernel = traces.kernel
-
-    allocation: Optional[AllocationResult] = None
-    if scheme.kind.is_software:
-        allocation = allocate_for_traces(
-            kernel,
-            scheme.allocation_config(),
-            model=energy_model,
-            memo=allocation_memo,
-        )
-
-    with TRACER.span(
-        "sim.account",
-        kernel=kernel.name,
-        scheme=scheme.name,
-        compiled=use_compiled,
-    ):
-        if use_compiled:
-            counters = _account_compiled(traces, scheme, allocation)
-            baseline = _cached_baseline(traces)
-        else:
-            counters, baseline = _account_scalar(traces, scheme, allocation)
-
-    return KernelEvaluation(
-        kernel_name=kernel.name,
-        scheme=scheme,
-        counters=counters,
-        baseline=baseline,
-        dynamic_instructions=traces.dynamic_instructions,
-        allocation=allocation,
+    (evaluation,) = evaluate_traces_batch(
+        traces, [scheme], energy_model=energy_model, use_compiled=use_compiled
     )
+    return evaluation
 
 
 def evaluate_traces_batch(
@@ -302,82 +208,76 @@ def evaluate_traces_batch(
     schemes: Sequence[Scheme],
     *,
     energy_model: Optional[EnergyModel] = None,
-    allocation_memo: Optional[AllocationMemo] = None,
     use_compiled: Optional[bool] = None,
 ) -> List[KernelEvaluation]:
     """Account one workload under many schemes, sharing work.
 
-    Semantically ``[evaluate_traces(traces, s) for s in schemes]`` —
-    but all software schemes allocate through
-    :func:`allocate_for_traces_batch` (one scheme-independent kernel
-    analysis, one levels pass per config), and on the compiled path all
-    hardware schemes are evaluated in a single pass per unique trace
-    (:func:`repro.sim.compiled.hardware_counters`), sharing the
+    Two steps: :func:`allocate_schemes` allocates every software scheme
+    in one batch, then :func:`account_traces_batch` accounts the traces
+    under each scheme with its allocation.
+    """
+    allocations = allocate_schemes(traces.kernel, schemes, energy_model)
+    return account_traces_batch(
+        traces, schemes, allocations, use_compiled=use_compiled
+    )
+
+
+def account_traces_batch(
+    traces: TraceSet,
+    schemes: Sequence[Scheme],
+    allocations: Sequence[Optional[AllocationResult]],
+    *,
+    use_compiled: Optional[bool] = None,
+) -> List[KernelEvaluation]:
+    """Account ``traces`` under each scheme with the given allocations.
+
+    ``allocations`` parallels ``schemes`` (see :func:`allocate_schemes`)
+    and stays attached to each software evaluation.  On the compiled
+    path all hardware schemes are evaluated in a single pass per unique
+    trace (:func:`repro.sim.compiled.hardware_counters`), sharing the
     per-event decode and deschedule resolution instead of walking the
     trace once per scheme.
     """
     if use_compiled is None:
         use_compiled = compiled_enabled()
+    kernel = traces.kernel
 
-    # Batch software allocations up front: memo misses run the levels
-    # pass only, against one shared analysis.  A local memo keeps the
-    # batched allocations reachable for the per-scheme evaluations even
-    # when the caller did not pass one.
-    software = [s for s in schemes if s.kind.is_software]
-    if software:
-        if allocation_memo is None:
-            allocation_memo = {}
-        allocate_for_traces_batch(
-            traces.kernel,
-            [s.allocation_config() for s in software],
-            model=energy_model,
-            memo=allocation_memo,
-        )
-
-    if not use_compiled:
-        return [
-            evaluate_traces(
-                traces,
-                scheme,
-                energy_model=energy_model,
-                allocation_memo=allocation_memo,
-                use_compiled=False,
-            )
-            for scheme in schemes
-        ]
-
-    hardware = [s for s in schemes if s.kind.is_hardware]
     batched: dict = {}
-    if hardware:
+    hardware = [s for s in schemes if s.kind.is_hardware]
+    if use_compiled and hardware:
         with TRACER.span(
-            "sim.account_batch",
-            kernel=traces.kernel.name,
-            schemes=len(hardware),
+            "sim.account_batch", kernel=kernel.name, schemes=len(hardware)
         ):
             batched = hardware_counters(compile_traces(traces), hardware)
 
     evaluations: List[KernelEvaluation] = []
-    for scheme in schemes:
-        if scheme.kind.is_hardware:
-            evaluations.append(
-                KernelEvaluation(
-                    kernel_name=traces.kernel.name,
-                    scheme=scheme,
-                    counters=batched[scheme].copy(),
-                    baseline=_cached_baseline(traces),
-                    dynamic_instructions=traces.dynamic_instructions,
+    for scheme, allocation in zip(schemes, allocations):
+        with TRACER.span(
+            "sim.account",
+            kernel=kernel.name,
+            scheme=scheme.name,
+            compiled=use_compiled,
+        ):
+            if not use_compiled:
+                counters, baseline = _account_scalar(
+                    traces, scheme, allocation
                 )
+            else:
+                if scheme.kind.is_hardware:
+                    counters = batched[scheme].copy()
+                else:
+                    counters = _account_compiled(traces, scheme, allocation)
+                baseline = _cached_baseline(traces)
+        evaluations.append(
+            KernelEvaluation(
+                kernel_name=kernel.name,
+                scheme=scheme,
+                counters=counters,
+                baseline=baseline,
+                dynamic_instructions=traces.dynamic_instructions,
+                allocation=allocation,
             )
-        else:
-            evaluations.append(
-                evaluate_traces(
-                    traces,
-                    scheme,
-                    energy_model=energy_model,
-                    allocation_memo=allocation_memo,
-                    use_compiled=True,
-                )
-            )
+        )
     return evaluations
 
 
@@ -414,19 +314,14 @@ def _account_compiled(
     scheme: Scheme,
     allocation: Optional[AllocationResult],
 ) -> AccessCounters:
-    """Account via the compiled trace form (see module docstring)."""
-    compiled = compile_traces(traces)
-
+    """Account a stateless scheme by position walk over the compiled
+    form (see module docstring); hardware schemes go through
+    :func:`repro.sim.compiled.hardware_counters` in
+    :func:`account_traces_batch`."""
     if scheme.kind is SchemeKind.BASELINE:
         return _cached_baseline(traces)
-    if scheme.kind.is_software:
-        assert allocation is not None
-        return software_counters(compiled, allocation.kernel)
-
-    # Hardware schemes: replay each unique trace's precompiled event
-    # program through the columnar cache walk (a batch of one; see
-    # evaluate_traces_batch for the shared-decode multi-scheme form).
-    return hardware_counters(compiled, [scheme])[scheme]
+    assert scheme.kind.is_software and allocation is not None
+    return software_counters(compile_traces(traces), allocation.kernel)
 
 
 def _make_driver(

@@ -21,11 +21,11 @@ from repro.alloc import (
     clear_analysis_cache,
     kernel_analysis,
 )
-from repro.alloc.analysis import _ANALYSIS_CACHE
+from repro.alloc import analysis as analysis_module
 from repro.alloc.serialize import annotations_to_dict
 from repro.obs.provenance import ProvenanceRecorder
 from repro.sim import build_traces
-from repro.sim.runner import evaluate_traces_batch
+from repro.sim.runner import account_traces_batch, allocate_schemes
 from repro.sim.schemes import scheme_for_config
 from repro.tuner.space import default_space
 from repro.workloads import generate_workload
@@ -141,12 +141,13 @@ def test_tuner_space_batch_equals_singles():
 
     traces = build_traces(spec.kernel, spec.warp_inputs)
     schemes = [scheme_for_config(config) for config in configs]
-    memo = {}
-    compiled = evaluate_traces_batch(
-        traces, schemes, allocation_memo=memo, use_compiled=True
+    # The oracle accounts exactly the allocations the compiled path got.
+    allocations = allocate_schemes(traces.kernel, schemes)
+    compiled = account_traces_batch(
+        traces, schemes, allocations, use_compiled=True
     )
-    scalar = evaluate_traces_batch(
-        traces, schemes, allocation_memo=memo, use_compiled=False
+    scalar = account_traces_batch(
+        traces, schemes, allocations, use_compiled=False
     )
     for scheme, fast, oracle in zip(schemes, compiled, scalar):
         assert fast.counters == oracle.counters, scheme.name
@@ -161,12 +162,46 @@ def test_batch_result_order_matches_configs():
         assert result.config == config
 
 
-def test_batch_shares_one_analysis_per_persistence_flavour():
+def _count_analyses(monkeypatch):
+    """Count fresh analyses (memo misses) from here on."""
+    calls = []
+    original = analysis_module.analyze_kernel
+
+    def counting(kernel, assume_persistent=False):
+        calls.append((kernel.name, assume_persistent))
+        return original(kernel, assume_persistent)
+
+    monkeypatch.setattr(analysis_module, "analyze_kernel", counting)
+    return calls
+
+
+def test_batch_shares_one_analysis_per_persistence_flavour(monkeypatch):
     spec = generate_workload(101, num_warps=1)
     clear_analysis_cache()
+    calls = _count_analyses(monkeypatch)
     allocate_kernels_batch(spec.kernel, SWEEP_CONFIGS)
     flavours = {c.assume_persistent_strands for c in SWEEP_CONFIGS}
-    assert len(_ANALYSIS_CACHE) == len(flavours)
+    assert sorted(flag for _, flag in calls) == sorted(flavours)
+    allocate_kernels_batch(spec.kernel.clone(), SWEEP_CONFIGS)
+    assert len(calls) == len(flavours)
+
+
+def test_analysis_memo_keeps_a_hot_kernel_among_one_shot_kernels(
+    monkeypatch,
+):
+    """LRU, not clear-at-the-bound: a kernel analysed between every
+    one-shot kernel stays memoized however many pass through."""
+    hot = generate_workload(7, num_warps=1).kernel
+    clear_analysis_cache()
+    first = kernel_analysis(hot)
+    calls = _count_analyses(monkeypatch)
+    one_shot = 200
+    assert one_shot > analysis_module.ANALYSIS_MEMO_ENTRIES
+    for seed in range(1000, 1000 + one_shot):
+        kernel_analysis(generate_workload(seed, num_warps=1).kernel)
+        assert kernel_analysis(hot) is first
+    assert len(calls) == one_shot
+    assert all(name != hot.name for name, _ in calls)
 
 
 def test_analysis_cache_hits_across_clones():

@@ -195,6 +195,31 @@ def test_engine_evaluate_batch_matches_per_scheme(traces):
     )
 
 
+def test_engine_counts_only_records_present_before_the_call(traces):
+    """A fresh exhaustive tune reads back nothing it did not compute;
+    the same tune on the warm engine is all hits."""
+    from repro.tuner import run_tune
+    from repro.tuner.space import default_space
+
+    engine = ExperimentEngine()
+    counters = engine.metrics.counters
+    first = run_tune(
+        traces, strategy="exhaustive", budget=320, engine=engine
+    )
+    distinct = first["evaluations"]["distinct"]
+    assert distinct == len(list(default_space().assignments()))
+    assert counters.get("record_memo_hits", 0) == 0
+    assert counters["record_misses"] == distinct
+    assert first["evaluations"]["fresh"] == distinct
+
+    second = run_tune(
+        traces, strategy="exhaustive", budget=320, engine=engine
+    )
+    assert counters["record_memo_hits"] == distinct
+    assert counters["record_misses"] == distinct
+    assert second["evaluations"]["fresh"] == 0
+
+
 def test_engine_disk_cache_survives_restart(tmp_path, traces):
     first = ExperimentEngine(cache_dir=str(tmp_path))
     cold = first.evaluate(traces, SW)

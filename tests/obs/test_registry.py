@@ -4,10 +4,10 @@ import math
 
 import pytest
 
+from repro.engine.metrics import RunMetrics
 from repro.obs.registry import (
     DEFAULT_LATENCY_BUCKETS_S,
     Histogram,
-    MetricsRegistry,
     PROMETHEUS_CONTENT_TYPE,
     render_prometheus,
 )
@@ -70,16 +70,20 @@ def test_histogram_round_trip_and_merge():
 
 
 def test_registry_get_or_create_fixes_bucket_layout():
-    registry = MetricsRegistry()
-    registry.observe("latency", 0.003)
-    registry.count("requests")
-    registry.gauge("depth", 2.0)
-    first = registry.histogram("latency")
+    metrics = RunMetrics()
+    metrics.observe("latency", 0.003)
+    metrics.count("requests")
+    metrics.gauge("depth", 2.0)
+    first = metrics.histogram("latency")
     # Later buckets= arguments do not re-shape an existing histogram.
-    again = registry.histogram("latency", buckets=[1.0])
+    again = metrics.histogram("latency", buckets=[1.0])
     assert again is first
     assert first.bounds == DEFAULT_LATENCY_BUCKETS_S
     assert first.count == 1
+    metrics.observe("latency", 0.5, buckets=[1.0])
+    assert first.count == 2
+    assert metrics.counters == {"requests": 1}
+    assert metrics.gauges == {"depth": 2.0}
 
 
 def test_render_prometheus_families_and_format():

@@ -93,6 +93,40 @@ def test_evaluate_matches_direct_path_and_memoizes():
         assert strip(second) == strip(first)
 
 
+def test_result_memo_is_bounded_and_evicted_bodies_recompute(monkeypatch):
+    import repro.service.server as server_module
+
+    bound, extra = 3, 2
+    monkeypatch.setattr(server_module, "RESULT_MEMO_ENTRIES", bound)
+    bodies = [
+        {
+            "benchmark": "vectoradd",
+            "scale": 1.0,
+            "scheme": {"kind": "sw_lrf", "entries_per_thread": entries},
+        }
+        for entries in range(1, bound + extra + 1)
+    ]
+    with running_server() as server:
+        client = client_for(server)
+        first = [client.evaluate(**body) for body in bodies]
+        assert {r["served_from"] for r in first} == {"computed"}
+        metrics = client.metrics()
+        assert metrics["gauges"]["service_memo_entries"] == bound
+        assert metrics["counters"]["service_evictions"] == extra
+
+        # The oldest bodies were evicted: asking again recomputes the
+        # identical payload; the newest are still memoized.
+        again = client.evaluate(**bodies[0])
+        assert again["served_from"] == "computed"
+        assert json.dumps(again, sort_keys=True) == json.dumps(
+            first[0], sort_keys=True
+        )
+        assert client.evaluate(**bodies[-1])["served_from"] == "cache"
+        counters = client.metrics()["counters"]
+        assert counters["jobs_executed"] == bound + extra + 1
+        assert counters["service_memo_hits"] == 1
+
+
 def test_allocate_endpoint():
     with running_server() as server:
         result = client_for(server).allocate(

@@ -23,7 +23,6 @@ from repro.sim.compiled import (
     compile_traces,
     compiled_enabled,
     hardware_counters,
-    kernel_analyses,
     merge_scaled,
     operand_table,
     software_counters,
@@ -323,12 +322,6 @@ class TestCaches:
         )
         assert second.baseline != first.baseline
         assert second.counters == second.baseline
-
-    def test_kernel_analyses_cached_by_fingerprint(self, loop_kernel):
-        liveness, shared = kernel_analyses(loop_kernel)
-        again_liveness, again_shared = kernel_analyses(loop_kernel.clone())
-        assert liveness is again_liveness
-        assert shared is again_shared
 
     def test_operand_table_facts(self, loop_kernel):
         table = operand_table(loop_kernel)

@@ -14,7 +14,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.runner import build_traces, evaluate_traces
+from repro.sim.runner import (
+    allocate_for_traces,
+    build_traces,
+    evaluate_traces,
+)
 from repro.sim.schemes import Scheme, SchemeKind
 from repro.workloads.suites import get_workload
 
@@ -91,3 +95,17 @@ def test_allocation_annotates_a_clone_not_the_original(traces):
         instruction.dst_ann is not None or instruction.src_anns
         for _, instruction in annotated.instructions()
     )
+
+
+def test_allocate_for_traces_returns_fresh_clones(traces):
+    """Nothing memoizes an allocation: every call annotates a new
+    clone, and the traced kernel itself is never annotated."""
+    kernel = traces.kernel
+    config = SW_A.allocation_config()
+    first = allocate_for_traces(kernel, config)
+    second = allocate_for_traces(kernel, config)
+    assert first is not second
+    assert first.kernel is not second.kernel
+    for _, instruction in kernel.instructions():
+        assert instruction.dst_ann is None
+        assert instruction.src_anns is None
