@@ -2,7 +2,7 @@
 
 Every BENCH file the repo emits (``BENCH_accounting.json``,
 ``BENCH_service.json``, ``BENCH_tuner.json``) is produced through this
-package: adaptive repetition with statistical stopping rules
+package: adaptive repetition under a statistical stopping rule
 (:mod:`repro.bench.stopping`), an environment fingerprint stamped into
 each report (:mod:`repro.bench.env`), a unified per-metric schema of
 samples / median / CI bounds / repeats / stop-reason
@@ -22,10 +22,6 @@ from .report import (
 from .stopping import (
     STOP_MAX_REPEATS,
     CiHalfWidthRule,
-    HdiWidthRule,
-    KsStabilityRule,
-    StoppingRule,
-    make_rule,
     run_repeater,
 )
 from .diff import diff_reports, format_diff, load_metrics, run_diff
@@ -34,15 +30,11 @@ __all__ = [
     "BENCH_SECTION_SCHEMA",
     "STOP_MAX_REPEATS",
     "CiHalfWidthRule",
-    "HdiWidthRule",
-    "KsStabilityRule",
-    "StoppingRule",
     "bench_section",
     "diff_reports",
     "environment_fingerprint",
     "format_diff",
     "load_metrics",
-    "make_rule",
     "measure",
     "metric_entry",
     "metric_from_samples",

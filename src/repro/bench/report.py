@@ -41,7 +41,7 @@ from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .env import environment_fingerprint
-from .stopping import StoppingRule, run_repeater
+from .stopping import CiHalfWidthRule, run_repeater
 
 #: Version of the shared ``"bench"`` section layout (producers keep
 #: their own top-level ``schema`` numbers on top of this).
@@ -55,7 +55,7 @@ def metric_from_samples(
     unit: str,
     direction: str = "higher",
     comparable: bool = False,
-    rule: Optional[StoppingRule] = None,
+    rule: Optional[CiHalfWidthRule] = None,
     stop_reason: str = "fixed_repeats",
 ) -> Dict[str, Any]:
     """Build one metric entry from collected samples.
@@ -87,7 +87,7 @@ def metric_from_samples(
 
 def measure(
     sample_fn: Callable[[int], float],
-    rule: StoppingRule,
+    rule: CiHalfWidthRule,
     *,
     name: str,
     unit: str,
@@ -149,7 +149,7 @@ def bench_section(
     tool: str,
     metrics: Dict[str, Dict[str, Any]],
     *,
-    rule: Optional[StoppingRule] = None,
+    rule: Optional[CiHalfWidthRule] = None,
     env: Optional[Dict[str, Any]] = None,
 ) -> Dict[str, Any]:
     """Assemble the shared ``"bench"`` section of a BENCH payload."""

@@ -1,21 +1,12 @@
-"""Statistical stopping rules for adaptive benchmark repetition.
+"""The statistical stopping rule for adaptive benchmark repetition.
 
-A benchmark loop repeats a measurement until a :class:`StoppingRule`
-says the sample set is stable enough, or ``max_repeats`` is reached.
-Three rules are provided (the SHARP repeaters shape):
+A benchmark loop repeats a measurement until :class:`CiHalfWidthRule`
+says the sample set is stable enough, or ``max_repeats`` is reached:
+it bootstraps the median and stops when the confidence interval's
+half-width falls below ``target`` (relative to the median's
+magnitude).
 
-* ``ci`` — :class:`CiHalfWidthRule`: bootstrap the median and stop
-  when the confidence interval's half-width falls below ``target``
-  (relative to the median's magnitude).
-* ``hdi`` — :class:`HdiWidthRule`: stop when the narrowest window
-  covering 95% of the sorted samples (the highest-density interval)
-  is below ``target`` relative width.
-* ``ks`` — :class:`KsStabilityRule`: split the samples into first and
-  second halves and stop when the two-sample Kolmogorov–Smirnov
-  statistic drops below ``target`` — i.e. the distribution has stopped
-  drifting as repeats accumulate.
-
-Every rule is deterministic: randomness (the bootstrap) comes from a
+The rule is deterministic: randomness (the bootstrap) comes from a
 ``random.Random`` seeded from the rule's ``seed`` and the current
 sample count, never from global state or the clock.  Checking the same
 sample list twice yields the same decision and the same interval.
@@ -40,25 +31,26 @@ def _median(samples: Sequence[float]) -> float:
     return float(statistics.median(samples))
 
 
-def _relative(width: float, center: float) -> float:
-    return width / max(abs(center), _TINY)
-
-
 @dataclass
-class StoppingRule:
-    """Base repeater: knobs shared by every rule.
+class CiHalfWidthRule:
+    """Bootstrap confidence interval on the median.
 
-    Subclasses implement :meth:`interval` (the stability measure as a
-    ``(lo, hi)`` pair around the samples) and :meth:`_stop_reason`
-    (``None`` to keep sampling, or a short reason string to stop).
+    Resamples the observations ``resamples`` times, takes the median of
+    each resample, and reports the central ``confidence`` percentile
+    interval of those medians.  Stops when the interval's half-width is
+    at most ``target`` relative to the sample median.  The reported
+    interval is widened (if needed) to include the sample median, so it
+    is always a valid covering interval for the point estimate.
     """
 
     min_repeats: int = 3
     max_repeats: int = 30
     target: float = 0.05
     seed: int = 0
+    resamples: int = 200
+    confidence: float = 0.95
 
-    name = "base"
+    name = "ci"
 
     def __post_init__(self) -> None:
         if self.min_repeats < 1:
@@ -68,29 +60,39 @@ class StoppingRule:
         if not (self.target > 0.0):
             raise ValueError("target must be positive")
 
-    def _rng(self, n_samples: int) -> random.Random:
+    def interval(self, samples: Sequence[float]) -> Tuple[float, float]:
+        data = list(samples)
+        med = _median(data)
+        if len(data) == 1:
+            return med, med
         # Keyed on (seed, sample count) so each check is deterministic
         # and independent of how many checks ran before it.
-        return random.Random(self.seed * 1_000_003 + n_samples)
-
-    def interval(self, samples: Sequence[float]) -> Tuple[float, float]:
-        raise NotImplementedError
-
-    def _stop_reason(self, samples: Sequence[float]) -> Optional[str]:
-        raise NotImplementedError
+        rng = random.Random(self.seed * 1_000_003 + len(data))
+        medians = sorted(
+            _median([rng.choice(data) for _ in data])
+            for _ in range(self.resamples)
+        )
+        tail = (1.0 - self.confidence) / 2.0
+        lo_idx = int(math.floor(tail * (len(medians) - 1)))
+        hi_idx = int(math.ceil((1.0 - tail) * (len(medians) - 1)))
+        lo, hi = medians[lo_idx], medians[hi_idx]
+        return min(lo, med), max(hi, med)
 
     def check(self, samples: Sequence[float]) -> Optional[str]:
         """Stop reason if sampling may stop now, else ``None``.
 
-        ``min_repeats`` gates every rule; ``max_repeats`` is enforced
+        ``min_repeats`` gates the rule; ``max_repeats`` is enforced
         here too so ``check`` alone guarantees termination.
         """
         if len(samples) < self.min_repeats:
             return None
+        lo, hi = self.interval(samples)
+        half_width = (hi - lo) / 2.0
+        if half_width / max(abs(_median(samples)), _TINY) <= self.target:
+            return "ci_half_width"
         if len(samples) >= self.max_repeats:
-            reason = self._stop_reason(samples)
-            return reason if reason is not None else STOP_MAX_REPEATS
-        return self._stop_reason(samples)
+            return STOP_MAX_REPEATS
+        return None
 
     def describe(self) -> Dict[str, object]:
         return {
@@ -102,158 +104,9 @@ class StoppingRule:
         }
 
 
-@dataclass
-class CiHalfWidthRule(StoppingRule):
-    """Bootstrap confidence interval on the median.
-
-    Resamples the observations ``resamples`` times, takes the median of
-    each resample, and reports the central ``confidence`` percentile
-    interval of those medians.  Stops when the interval's half-width is
-    at most ``target`` relative to the sample median.  The reported
-    interval is widened (if needed) to include the sample median, so it
-    is always a valid covering interval for the point estimate.
-    """
-
-    resamples: int = 200
-    confidence: float = 0.95
-
-    name = "ci"
-
-    def interval(self, samples: Sequence[float]) -> Tuple[float, float]:
-        data = list(samples)
-        med = _median(data)
-        if len(data) == 1:
-            return med, med
-        rng = self._rng(len(data))
-        medians = sorted(
-            _median([rng.choice(data) for _ in data])
-            for _ in range(self.resamples)
-        )
-        tail = (1.0 - self.confidence) / 2.0
-        lo_idx = int(math.floor(tail * (len(medians) - 1)))
-        hi_idx = int(math.ceil((1.0 - tail) * (len(medians) - 1)))
-        lo, hi = medians[lo_idx], medians[hi_idx]
-        return min(lo, med), max(hi, med)
-
-    def _stop_reason(self, samples: Sequence[float]) -> Optional[str]:
-        lo, hi = self.interval(samples)
-        half_width = (hi - lo) / 2.0
-        if _relative(half_width, _median(samples)) <= self.target:
-            return "ci_half_width"
-        return None
-
-
-@dataclass
-class HdiWidthRule(StoppingRule):
-    """Highest-density interval width.
-
-    The HDI is the narrowest contiguous window of the sorted samples
-    containing at least ``mass`` of them — a robust spread measure that
-    ignores stray outliers outside the window.  Stops when the window
-    width is at most ``target`` relative to the sample median.
-    """
-
-    mass: float = 0.95
-
-    name = "hdi"
-
-    def interval(self, samples: Sequence[float]) -> Tuple[float, float]:
-        data = sorted(samples)
-        n = len(data)
-        k = max(1, int(math.ceil(self.mass * n)))
-        if k >= n:
-            return data[0], data[-1]
-        best = (data[k - 1] - data[0], 0)
-        for start in range(1, n - k + 1):
-            width = data[start + k - 1] - data[start]
-            if width < best[0]:
-                best = (width, start)
-        start = best[1]
-        return data[start], data[start + k - 1]
-
-    def _stop_reason(self, samples: Sequence[float]) -> Optional[str]:
-        lo, hi = self.interval(samples)
-        if _relative(hi - lo, _median(samples)) <= self.target:
-            return "hdi_width"
-        return None
-
-
-@dataclass
-class KsStabilityRule(StoppingRule):
-    """Two-sample KS test between first and second half of samples.
-
-    If the empirical distributions of the early and late halves agree
-    (KS statistic at most ``target``), the measurement has stopped
-    drifting — warmup effects are over — and sampling may stop.  The
-    reported interval is the min/max envelope of the samples.
-    """
-
-    name = "ks"
-
-    def interval(self, samples: Sequence[float]) -> Tuple[float, float]:
-        return min(samples), max(samples)
-
-    @staticmethod
-    def statistic(first: Sequence[float], second: Sequence[float]) -> float:
-        """KS distance: max ECDF gap over the pooled sample points."""
-        a, b = sorted(first), sorted(second)
-        n_a, n_b = len(a), len(b)
-        i = j = 0
-        d = 0.0
-        while i < n_a and j < n_b:
-            x = min(a[i], b[j])
-            while i < n_a and a[i] <= x:
-                i += 1
-            while j < n_b and b[j] <= x:
-                j += 1
-            d = max(d, abs(i / n_a - j / n_b))
-        return max(d, abs(1.0 - (j / n_b if n_b else 1.0)),
-                   abs((i / n_a if n_a else 1.0) - 1.0))
-
-    def _stop_reason(self, samples: Sequence[float]) -> Optional[str]:
-        half = len(samples) // 2
-        if half < 1:
-            return None
-        first, second = samples[:half], samples[half:]
-        if self.statistic(first, second) <= self.target:
-            return "ks_stable"
-        return None
-
-
-_RULES = {
-    CiHalfWidthRule.name: CiHalfWidthRule,
-    HdiWidthRule.name: HdiWidthRule,
-    KsStabilityRule.name: KsStabilityRule,
-}
-
-
-def make_rule(
-    name: str,
-    *,
-    min_repeats: int = 3,
-    max_repeats: int = 30,
-    target: float = 0.05,
-    seed: int = 0,
-) -> StoppingRule:
-    """Build a stopping rule by name (``ci``, ``hdi``, or ``ks``)."""
-    try:
-        cls = _RULES[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown stopping rule {name!r}; "
-            f"choose from {sorted(_RULES)}"
-        ) from None
-    return cls(
-        min_repeats=min_repeats,
-        max_repeats=max_repeats,
-        target=target,
-        seed=seed,
-    )
-
-
 def run_repeater(
     sample_fn: Callable[[int], float],
-    rule: StoppingRule,
+    rule: CiHalfWidthRule,
 ) -> Tuple[List[float], str]:
     """Repeat ``sample_fn(i)`` under ``rule`` until it says stop.
 

@@ -147,15 +147,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_repeater_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
-            "--rule", choices=("ci", "hdi", "ks"), default=None,
-            help="adaptive stopping rule for repeated measurements: "
-                 "bootstrap CI half-width (ci), highest-density "
-                 "interval width (hdi), or KS first/second-half "
-                 "stability (ks); default: the tool's built-in rule",
-        )
-        cmd.add_argument(
             "--min-repeats", type=int, default=None,
-            help="repeats before the stopping rule may fire",
+            help="repeats before the bootstrap-CI stopping rule may fire",
         )
         cmd.add_argument(
             "--max-repeats", type=int, default=None,
@@ -163,9 +156,8 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         cmd.add_argument(
             "--target", dest="bench_target", type=float, default=None,
-            help="rule threshold: relative CI/HDI width, or KS "
-                 "statistic bound (ks wants ~0.25 at small repeat "
-                 "counts)",
+            help="stop once the CI half-width is at most this fraction "
+                 "of the median",
         )
         cmd.add_argument(
             "--bench-seed", type=int, default=None,
@@ -405,7 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default="BENCH_tuner.json",
         help="output JSON path (default BENCH_tuner.json)",
     )
-    add_repeater_flags(tune)
     add_engine_flags(tune)
 
     serve = sub.add_parser(
@@ -554,28 +545,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _make_engine(args):
-    """An ExperimentEngine when any engine flag was used, else None.
-
-    ``--profile-out`` forces an engine: the per-stage profiler hooks
-    into ``RunMetrics.stage``, which only runs under an engine.
-    """
-    jobs = getattr(args, "jobs", 1)
-    cache_dir = getattr(args, "cache_dir", None)
-    metrics_out = getattr(args, "metrics_out", None)
-    profile_out = getattr(args, "profile_out", None)
-    if (
-        jobs <= 1
-        and cache_dir is None
-        and metrics_out is None
-        and profile_out is None
-    ):
-        return None
+    """The run's ExperimentEngine: in-memory memos always, plus a
+    process pool (``--jobs``) and an on-disk tier (``--cache-dir``,
+    ``--cache-max-bytes``) when the command takes those flags."""
     from .engine import ExperimentEngine
 
     try:
         return ExperimentEngine(
-            jobs=jobs,
-            cache_dir=cache_dir,
+            jobs=getattr(args, "jobs", 1),
+            cache_dir=getattr(args, "cache_dir", None),
             cache_max_bytes=getattr(args, "cache_max_bytes", None),
         )
     except ValueError as error:
@@ -583,10 +561,9 @@ def _make_engine(args):
 
 
 def _make_stopping_rule(args):
-    """A StoppingRule when any repeater flag was used, else None (each
-    tool then applies its own built-in default rule)."""
+    """A CiHalfWidthRule when any repeater flag was used, else None
+    (each tool then applies its own default knobs)."""
     knobs = (
-        getattr(args, "rule", None),
         getattr(args, "min_repeats", None),
         getattr(args, "max_repeats", None),
         getattr(args, "bench_target", None),
@@ -594,7 +571,7 @@ def _make_stopping_rule(args):
     )
     if all(value is None for value in knobs):
         return None
-    from .bench import make_rule
+    from .bench import CiHalfWidthRule
 
     kwargs = {}
     if args.min_repeats is not None:
@@ -606,14 +583,12 @@ def _make_stopping_rule(args):
     if args.bench_seed is not None:
         kwargs["seed"] = args.bench_seed
     try:
-        return make_rule(args.rule or "ci", **kwargs)
+        return CiHalfWidthRule(**kwargs)
     except ValueError as error:
         raise SystemExit(f"repro: error: {error}")
 
 
 def _finish_engine(engine, args) -> None:
-    if engine is None:
-        return
     metrics_out = getattr(args, "metrics_out", None)
     if metrics_out:
         engine.metrics.write(metrics_out)
@@ -833,18 +808,17 @@ def _run_trace(args) -> int:
     """``repro trace``: one kernel through trace → allocate →
     account under a spread of schemes, spans on; the generic
     observability teardown writes the Chrome trace."""
-    from .engine import ExperimentEngine
     from .sim.schemes import (
         BEST_HW_TWO_LEVEL,
         BEST_SW_TWO_LEVEL,
     )
 
-    engine = ExperimentEngine()
     try:
         spec = _resolve_target(args.target, args.scale)
     except _TargetError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
+    engine = _make_engine(args)
     traces = engine.build_traces(spec.kernel, spec.warp_inputs)
     schemes = [
         Scheme(SchemeKind.BASELINE),
@@ -865,9 +839,7 @@ def _run_trace(args) -> int:
             f"{spec.name:<16} {scheme.name:<16} "
             f"{evaluation.dynamic_instructions} dyn instrs"
         )
-    if args.metrics_out:
-        engine.metrics.write(args.metrics_out)
-    print(engine.metrics.summary(), file=sys.stderr)
+    _finish_engine(engine, args)
     return 0
 
 
@@ -906,9 +878,15 @@ def _run_explain(args) -> int:
 
 def _run_tune(args) -> int:
     """``repro tune``: design-space search over AllocationConfig for
-    one kernel; prints the report and writes the tuner JSON."""
-    from .engine import ExperimentEngine
-    from .tuner import default_space, format_tune, run_tune, write_tune
+    one kernel; prints the report and writes the tuner JSON with a
+    ``bench`` section timing the one search."""
+    from .tuner import (
+        default_space,
+        format_tune,
+        run_tune,
+        tune_bench,
+        write_tune,
+    )
 
     try:
         spec = _resolve_target(args.target, args.scale, args.warps)
@@ -916,17 +894,7 @@ def _run_tune(args) -> int:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
     engine = _make_engine(args)
-    if engine is None:
-        engine = ExperimentEngine()
     traces = engine.build_traces(spec.kernel, spec.warp_inputs)
-    # The CLI always benches wall time (warm re-searches are cheap:
-    # every candidate is a record-memo hit); the service endpoint
-    # stays single-shot by passing rule=None to run_tune directly.
-    rule = _make_stopping_rule(args)
-    if rule is None:
-        from .bench import make_rule
-
-        rule = make_rule("ci", min_repeats=2, max_repeats=5, target=0.2)
     try:
         payload = run_tune(
             traces,
@@ -937,11 +905,11 @@ def _run_tune(args) -> int:
             seed=args.seed,
             engine=engine,
             time_budget_s=args.time_budget_s,
-            rule=rule,
         )
     except ValueError as error:
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
+    payload["bench"] = tune_bench(payload)
     print(format_tune(payload))
     print(write_tune(args.out, payload), file=sys.stderr)
     _finish_engine(engine, args)

@@ -1,13 +1,15 @@
 """The experiment engine: memoized, optionally parallel evaluation.
 
-One :class:`ExperimentEngine` instance serves a whole CLI run.  It
-layers two content-addressed stores:
+One :class:`ExperimentEngine` instance serves a whole CLI run; every
+:class:`~repro.experiments.suite_data.SuiteData` owns one, so the
+figure drivers have no other evaluation path.  It layers two
+content-addressed stores:
 
 * in-memory memos (:class:`~repro.memo.Memo`, bounded LRU) of
   evaluation records — (trace-set fingerprint, scheme) to record;
   deduplicates identical evaluations across figures within one run (the
-  sensitivity sweep alone re-evaluates the same pair thirty times) —
-  and of study results;
+  sensitivity sweep alone requests each pair fifteen times) — and of
+  study results;
 * an optional on-disk :class:`DiskCache` holding evaluation records,
   study results (JSON) and trace sets (pickle) across runs.
 

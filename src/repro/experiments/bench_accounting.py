@@ -59,9 +59,8 @@ from ..sim.schemes import Scheme, SchemeKind
 from ..workloads.shapes import WorkloadSpec
 from ..workloads.suites import all_workloads
 from ..bench import (
-    StoppingRule,
+    CiHalfWidthRule,
     bench_section,
-    make_rule,
     measure,
     metric_from_samples,
     write_report,
@@ -128,7 +127,7 @@ def _ratio_metric(
     name: str,
     numerator: Sequence[float],
     denominator: Sequence[float],
-    rule: StoppingRule,
+    rule: CiHalfWidthRule,
 ) -> Dict:
     """Pairwise ratio samples (e.g. speedups) from two sample sets."""
     n = min(len(numerator), len(denominator))
@@ -151,7 +150,7 @@ def _bench_family(
     label: str,
     schemes: Sequence[Scheme],
     scale: float,
-    rule: StoppingRule,
+    rule: CiHalfWidthRule,
     scalar_suite: Sequence[TraceSet],
 ) -> Tuple[Dict[str, float], Dict[str, Dict]]:
     # Allocated once, outside the timed region; both paths account the
@@ -222,7 +221,7 @@ def _bench_family(
 def _bench_allocation(
     suite: Sequence[TraceSet],
     schemes: Sequence[Scheme],
-    rule: StoppingRule,
+    rule: CiHalfWidthRule,
 ) -> Tuple[Dict[str, float], Dict[str, Dict]]:
     """Time the software sweep's allocation phase, per-config vs. batched.
 
@@ -344,7 +343,7 @@ def run_bench_accounting(
     repeats: int = 3,
     workloads: Optional[Sequence[WorkloadSpec]] = None,
     *,
-    rule: Optional[StoppingRule] = None,
+    rule: Optional[CiHalfWidthRule] = None,
 ) -> Dict:
     """Measure scalar vs. compiled accounting; return the JSON payload.
 
@@ -353,8 +352,7 @@ def run_bench_accounting(
     repeater capped at ``max(repeats, 10)`` repeats).
     """
     if rule is None:
-        rule = make_rule(
-            "ci",
+        rule = CiHalfWidthRule(
             min_repeats=repeats,
             max_repeats=max(repeats, 10),
             target=0.05,

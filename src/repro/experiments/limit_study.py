@@ -27,15 +27,11 @@ from typing import Dict, List, Optional
 from ..alloc.allocator import AllocationConfig
 from ..energy.accounting import compute_energy
 from ..energy.model import EnergyModel
+from ..engine.hashing import dataclass_fingerprint
 from ..hierarchy.counters import AccessCounters
 from ..levels import Level
-from ..sim.accounting import (
-    BaselineAccounting,
-    SoftwareAccounting,
-    account_trace,
-)
-from ..sim.runner import allocate_for_traces
-from ..sim.schemes import BEST_SCHEME, Scheme, SchemeKind
+from ..sim.runner import evaluate_traces
+from ..sim.schemes import BEST_SCHEME, Scheme, SchemeKind, scheme_for_config
 from .suite_data import SuiteData
 
 
@@ -112,32 +108,27 @@ def _sw_energy(
 ) -> float:
     """Software-scheme normalized energy with decoupled capacity/energy.
 
-    Allocates each kernel under ``config`` (the allocator's savings
-    decisions use ``accounting_model``) and charges accesses with
-    ``accounting_model`` — supporting the limit study's 'N entries at
-    M-entry energy' idealisations.  Allocation happens on clones; the
-    suite's kernels are never annotated.
+    Evaluates each kernel under ``config`` with the allocator's savings
+    decisions made against ``accounting_model``, and charges accesses
+    with ``accounting_model`` — supporting the limit study's 'N entries
+    at M-entry energy' idealisations.  The engine's record memo is
+    keyed by scheme only, so these evaluations bypass it; the study
+    memo keeps the result instead.
     """
-    engine = data.engine
+    scheme = scheme_for_config(config)
 
     def compute() -> float:
         total = AccessCounters()
         baseline = AccessCounters()
-        for spec, traces in data.items:
-            allocation = allocate_for_traces(
-                spec.kernel, config, model=accounting_model
+        for _, traces in data.items:
+            evaluation = evaluate_traces(
+                traces, scheme, energy_model=accounting_model
             )
-            for trace in traces.warp_traces:
-                driver = SoftwareAccounting(total, allocation.kernel)
-                account_trace(driver, trace)
-                account_trace(BaselineAccounting(baseline), trace)
+            total.merge(evaluation.counters)
+            baseline.merge(evaluation.baseline)
         return _normalized(total, baseline, accounting_model)
 
-    if engine is None:
-        return compute()
-    from ..engine.hashing import dataclass_fingerprint
-
-    return engine.memo_study(
+    return data.engine.memo_study(
         (
             "limit-sw-energy",
             data.content_fingerprint(),

@@ -23,10 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
-from ..energy.accounting import normalized_energy
-from ..energy.model import EnergyModel
-from ..hierarchy.counters import AccessCounters
-from ..sim.runner import evaluate_traces
 from ..sim.schemes import Scheme, SchemeKind
 from .suite_data import SuiteData
 
@@ -59,26 +55,6 @@ class SensitivityResult:
         return result
 
 
-def _evaluate(
-    data: SuiteData, scheme: Scheme, model: EnergyModel
-) -> float:
-    """Normalized energy with accesses re-priced under a scaled model.
-
-    The allocation is the unmodified compiler output (Table 3 model);
-    only the per-access costs change.  The seed version of this study
-    pre-allocated each kernel in place with the scaled model, but that
-    allocation was silently discarded by ``evaluate_traces`` — the
-    in-place mutation was its only effect.
-    """
-    counters = AccessCounters()
-    baseline = AccessCounters()
-    for spec, traces in data.items:
-        evaluation = data.evaluate(traces, scheme)
-        counters.merge(evaluation.counters)
-        baseline.merge(evaluation.baseline)
-    return normalized_energy(counters, baseline, model)
-
-
 def run_sensitivity_study(
     data: SuiteData,
     factors: Sequence[float] = DEFAULT_FACTORS,
@@ -90,8 +66,8 @@ def run_sensitivity_study(
     for component in ("mrf", "wire", "orf"):
         for factor in factors:
             model = base_model.scaled(**{component: factor})
-            sw_energy = _evaluate(data, sw_scheme, model)
-            hw_energy = _evaluate(data, hw_scheme, model)
+            sw_energy = data.normalized_energy(sw_scheme, model)
+            hw_energy = data.normalized_energy(hw_scheme, model)
             result.points.append(
                 SensitivityPoint(
                     component=component,

@@ -5,35 +5,32 @@ every workload once and the per-figure drivers re-account the cached
 traces under each scheme — the same structure as the authors' Ocelot
 trace-analysis methodology (Section 5.1).
 
-When an :class:`~repro.engine.ExperimentEngine` is attached, every
-evaluation routes through it: results are memoized content-addressed
-(and on disk, when the engine has a cache directory), and
-:meth:`SuiteData.prefetch` can fan upcoming (workload, scheme) jobs
-across a process pool.  Drivers are oblivious — they call
-:meth:`evaluate` either way and merge serially in workload order, so
-output is byte-identical with or without the engine.
+Every evaluation routes through the suite's
+:class:`~repro.engine.ExperimentEngine`, which memoizes records and
+study results content-addressed, so a (trace set, scheme) pair or a
+study that several drivers ask for is computed once per run.  The
+engine is always there: :meth:`SuiteData.build` makes an in-memory one
+unless the caller passes its own (the CLI's ``--jobs``,
+``--cache-dir`` and ``--cache-max-bytes`` add a process pool for
+:meth:`SuiteData.prefetch` and an on-disk tier).  Drivers merge
+serially in workload order, so output does not depend on the engine's
+configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..energy.accounting import normalized_energy
 from ..energy.model import EnergyModel
+from ..engine import ExperimentEngine
+from ..engine.hashing import suite_fingerprint
 from ..hierarchy.counters import AccessCounters
-from ..sim.runner import (
-    KernelEvaluation,
-    TraceSet,
-    build_traces,
-    evaluate_traces,
-)
+from ..sim.runner import KernelEvaluation, TraceSet
 from ..sim.schemes import Scheme
 from ..workloads.shapes import WorkloadSpec
 from ..workloads.suites import all_workloads
-
-if TYPE_CHECKING:
-    from ..engine import ExperimentEngine
 
 
 @dataclass
@@ -42,8 +39,8 @@ class SuiteData:
 
     items: List[Tuple[WorkloadSpec, TraceSet]]
     scale: float = 1.0
-    engine: Optional["ExperimentEngine"] = field(
-        default=None, repr=False, compare=False
+    engine: ExperimentEngine = field(
+        default_factory=ExperimentEngine, repr=False, compare=False
     )
 
     @classmethod
@@ -51,16 +48,14 @@ class SuiteData:
         cls,
         workloads: Optional[Sequence[WorkloadSpec]] = None,
         scale: float = 1.0,
-        engine: Optional["ExperimentEngine"] = None,
+        engine: Optional[ExperimentEngine] = None,
     ) -> "SuiteData":
         if workloads is None:
             workloads = all_workloads(scale)
-        make_traces = (
-            engine.build_traces if engine is not None else build_traces
-        )
+        engine = engine or ExperimentEngine()
         return cls(
             [
-                (spec, make_traces(spec.kernel, spec.warp_inputs))
+                (spec, engine.build_traces(spec.kernel, spec.warp_inputs))
                 for spec in workloads
             ],
             scale=scale,
@@ -84,22 +79,17 @@ class SuiteData:
 
     def content_fingerprint(self) -> str:
         """Fingerprint over every workload's traces (study memo keys)."""
-        from ..engine.hashing import suite_fingerprint
-
         return suite_fingerprint(self.items)
 
     def evaluate(
         self, traces: TraceSet, scheme: Scheme
     ) -> KernelEvaluation:
         """One (trace set, scheme) evaluation — the engine chokepoint."""
-        if self.engine is not None:
-            return self.engine.evaluate(traces, scheme)
-        return evaluate_traces(traces, scheme)
+        return self.engine.evaluate(traces, scheme)
 
     def prefetch(self, schemes: Sequence[Scheme]) -> None:
         """Warm the engine's record memo for the given schemes."""
-        if self.engine is not None:
-            self.engine.prefetch(self.items, schemes, scale=self.scale)
+        self.engine.prefetch(self.items, schemes, scale=self.scale)
 
     def aggregate(
         self, scheme: Scheme

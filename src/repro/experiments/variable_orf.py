@@ -321,18 +321,15 @@ def run_variable_orf_study(
             "starved_fraction": starved,
         }
 
-    if data.engine is None:
-        values = compute()
-    else:
-        values = data.engine.memo_study(
-            (
-                "variable-orf",
-                data.content_fingerprint(),
-                str(base_entries),
-                str(active_warps),
-            ),
-            compute,
-        )
+    values = data.engine.memo_study(
+        (
+            "variable-orf",
+            data.content_fingerprint(),
+            str(base_entries),
+            str(active_warps),
+        ),
+        compute,
+    )
     return VariableOrfResult(
         fixed=values["fixed"],
         realistic=values["realistic"],

@@ -47,9 +47,8 @@ import time
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..bench import (
-    StoppingRule,
+    CiHalfWidthRule,
     bench_section,
-    make_rule,
     metric_from_samples,
     write_report,
 )
@@ -242,7 +241,7 @@ async def _run_phases(
     plan: List[Dict[str, Any]],
     concurrency: int,
     timeout: float,
-    rule: Optional[StoppingRule] = None,
+    rule: Optional[CiHalfWidthRule] = None,
     retries: int = 0,
 ) -> Tuple[
     Tuple[List[Dict[str, Any]], float],
@@ -446,7 +445,7 @@ def run_loadgen(
     benchmarks=DEFAULT_BENCHMARKS,
     verify: bool = True,
     trace_out: Optional[str] = None,
-    rule: Optional[StoppingRule] = None,
+    rule: Optional[CiHalfWidthRule] = None,
     retries: int = 0,
 ) -> Dict[str, Any]:
     """Drive a running service and return the benchmark payload.
@@ -460,8 +459,8 @@ def run_loadgen(
     explicit rule to tighten or loosen the stability bar.
     """
     if rule is None:
-        rule = make_rule(
-            "ci", min_repeats=2, max_repeats=6, target=0.05, seed=0
+        rule = CiHalfWidthRule(
+            min_repeats=2, max_repeats=6, target=0.05, seed=0
         )
     if trace_out:
         TRACER.configure(enabled=True)

@@ -29,7 +29,6 @@ from .runner import (
     build_divergent_traces,
     TraceSet,
     build_traces,
-    evaluate_kernel,
     evaluate_traces,
     usage_histogram,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "active_warp_sweep",
     "build_divergent_traces",
     "build_traces",
-    "evaluate_kernel",
     "evaluate_traces",
     "full_mask",
     "run_divergent_warp",

@@ -357,15 +357,6 @@ def _make_driver(
     raise ValueError(f"unknown scheme kind {scheme.kind}")
 
 
-def evaluate_kernel(
-    kernel: Kernel,
-    warp_inputs: Sequence[WarpInput],
-    scheme: Scheme,
-) -> KernelEvaluation:
-    """Convenience wrapper: trace then account under one scheme."""
-    return evaluate_traces(build_traces(kernel, warp_inputs), scheme)
-
-
 def usage_histogram(traces: TraceSet) -> UsageHistogram:
     """Figure 2 statistics for one workload's traces.
 

@@ -17,6 +17,7 @@ from .runner import (
     TUNER_SCHEMA,
     format_tune,
     run_tune,
+    tune_bench,
     write_tune,
 )
 from .space import (
@@ -46,6 +47,7 @@ __all__ = [
     "TUNER_SCHEMA",
     "format_tune",
     "run_tune",
+    "tune_bench",
     "write_tune",
     "Constraint",
     "DEFAULT_CONSTRAINTS",

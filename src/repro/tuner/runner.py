@@ -29,12 +29,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..alloc.allocator import AllocationConfig
-from ..bench import (
-    StoppingRule,
-    bench_section,
-    metric_from_samples,
-    write_report,
-)
+from ..bench import bench_section, metric_from_samples, write_report
 from ..engine import ExperimentEngine
 from ..obs.registry import labeled_name
 from ..obs.tracer import TRACER
@@ -44,10 +39,10 @@ from .objective import candidate_metrics, dominates, objective_value
 from .space import Assignment, ParameterSpace, default_space
 from .strategies import make_strategy
 
-#: Schema 2 (additive): optional ``"bench"`` section — wall-time
-#: samples under a stopping rule plus the deterministic search
-#: outcomes as degenerate-interval metrics — and the environment
-#: fingerprint.  Every schema-1 key is unchanged.
+#: Schema 2 (additive): optional ``"bench"`` section — the search's
+#: wall time plus the deterministic search outcomes as
+#: degenerate-interval metrics — and the environment fingerprint.
+#: Every schema-1 key is unchanged.
 TUNER_SCHEMA = 2
 
 #: Histogram buckets for candidates-per-oracle-batch.
@@ -257,21 +252,14 @@ def run_tune(
     engine: Optional[ExperimentEngine] = None,
     time_budget_s: Optional[float] = None,
     strategy_options: Optional[Dict[str, Any]] = None,
-    rule: Optional[StoppingRule] = None,
 ) -> Dict[str, Any]:
     """Search the design space for one workload; returns the payload.
 
     Deterministic modulo ``wall_time_s`` (and, when ``time_budget_s``
     is set and actually binds, the stop point): the frontier, best
     config, trace, and evaluation counts replay byte-identically for a
-    fixed seed.
-
-    With ``rule`` set, the search is re-run (warm engine, identical
-    outcome) until the rule says the wall-time samples are stable, and
-    the payload gains a ``"bench"`` section: wall-time distribution
-    plus the deterministic objective/improvement results as
-    point-estimate metrics with degenerate intervals — so ``repro
-    bench diff`` flags *any* change in tuning outcome as significant.
+    fixed seed.  :func:`tune_bench` turns the payload into a
+    ``"bench"`` section.
     """
     if space is None:
         space = default_space()
@@ -370,54 +358,27 @@ def run_tune(
         "trace": oracle.trace,
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    if rule is not None:
-        payload["bench"] = _tune_bench(
-            payload,
-            rule,
-            traces=traces,
-            space=space,
-            strategy=strategy,
-            objective=objective,
-            budget=budget,
-            seed=seed,
-            engine=engine,
-            time_budget_s=time_budget_s,
-            strategy_options=strategy_options,
-        )
     return payload
 
 
-def _tune_bench(
-    payload: Dict[str, Any],
-    rule: StoppingRule,
-    **tune_kwargs: Any,
-) -> Dict[str, Any]:
-    """Build the tune payload's ``"bench"`` section.
+def tune_bench(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """The ``"bench"`` section of one search's payload.
 
-    Wall time is the only nondeterministic output, so it is the only
-    adaptively sampled metric: the search re-runs on the warm engine
-    (every candidate a record-memo hit) until the rule fires.  The
-    search outcomes themselves are deterministic and recorded as
-    point estimates with degenerate ``[v, v]`` intervals: a diff
-    between two runs shows them as significant exactly when the
-    tuning result actually changed.
+    Wall time is one sample: the search that produced the payload.  A
+    repeat on the same engine would replay every candidate from the
+    record memo and time a lookup, not a search.  The search outcomes
+    are deterministic and recorded as point estimates with degenerate
+    ``[v, v]`` intervals, so ``repro bench diff`` flags them as
+    significant exactly when the tuning result changed.
     """
-    traces = tune_kwargs.pop("traces")
-    samples = [float(payload["wall_time_s"])]
-    reason = rule.check(samples)
-    while reason is None:
-        repeat = run_tune(traces, rule=None, **tune_kwargs)
-        samples.append(float(repeat["wall_time_s"]))
-        reason = rule.check(samples)
     metrics = {
         "wall_time_s": metric_from_samples(
             "wall_time_s",
-            samples,
+            [payload["wall_time_s"]],
             unit="s",
             direction="lower",
             comparable=False,
-            rule=rule,
-            stop_reason=reason,
+            stop_reason="single_run",
         ),
         "improvement_over_baseline": metric_from_samples(
             "improvement_over_baseline",
@@ -444,7 +405,7 @@ def _tune_bench(
             stop_reason="deterministic",
         ),
     }
-    return bench_section("tune", metrics, rule=rule)
+    return bench_section("tune", metrics)
 
 
 # -- rendering and persistence ---------------------------------------------
@@ -508,14 +469,10 @@ def format_tune(payload: Dict[str, Any]) -> str:
         )
     bench = payload.get("bench")
     if bench is not None:
-        wall = bench["metrics"]["wall_time_s"]
         env = bench.get("env", {})
         lines.append("")
         lines.append(
-            f"wall time: median {wall['median']:.4f}s over"
-            f" {wall['repeats']} runs"
-            f" (ci [{wall['ci'][0]:.4f}, {wall['ci'][1]:.4f}],"
-            f" stop: {wall['stop_reason']});"
+            f"wall time: {payload['wall_time_s']:.4f}s (one search);"
             f" env: python {env.get('python')} on {env.get('machine')}"
             f" ({env.get('cpu_count')} cpus)"
         )

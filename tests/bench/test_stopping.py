@@ -1,42 +1,33 @@
-"""Property-based tests (hypothesis) on the stopping rules.
+"""Property-based tests (hypothesis) on the stopping rule.
 
-The invariants every rule must hold:
+The invariants the rule must hold:
 
 * **Termination** — ``run_repeater`` finishes within ``max_repeats``
   calls for *any* finite sample stream.
 * **Determinism** — checking the same samples with the same seed gives
   the same decision and the same interval (the bootstrap RNG is keyed
   on ``(seed, len(samples))``, never global state).
-* **Coverage** — the CI rule's reported interval always contains the
-  sample median (it is clamped to be a valid covering interval for the
-  point estimate).
+* **Coverage** — the reported interval always contains the sample
+  median (it is clamped to be a valid covering interval for the point
+  estimate).
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.bench import (
-    STOP_MAX_REPEATS,
-    CiHalfWidthRule,
-    HdiWidthRule,
-    KsStabilityRule,
-    make_rule,
-    run_repeater,
-)
+from repro.bench import STOP_MAX_REPEATS, CiHalfWidthRule, run_repeater
 
 finite = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e9, max_value=1e9
 )
 streams = st.lists(finite, min_size=1, max_size=40)
 
-RULE_CLASSES = (CiHalfWidthRule, HdiWidthRule, KsStabilityRule)
-
 
 def _sampler(values):
     return lambda i: values[i % len(values)]
 
 
-@pytest.mark.parametrize("rule_cls", RULE_CLASSES)
+@pytest.mark.parametrize("rule_cls", [CiHalfWidthRule])
 @settings(max_examples=40, deadline=None)
 @given(values=streams, seed=st.integers(0, 2**16))
 def test_repeater_terminates_within_max_repeats(rule_cls, values, seed):
@@ -46,7 +37,7 @@ def test_repeater_terminates_within_max_repeats(rule_cls, values, seed):
     assert isinstance(reason, str) and reason
 
 
-@pytest.mark.parametrize("rule_cls", RULE_CLASSES)
+@pytest.mark.parametrize("rule_cls", [CiHalfWidthRule])
 @settings(max_examples=40, deadline=None)
 @given(values=st.lists(finite, min_size=3, max_size=25),
        seed=st.integers(0, 2**16))
@@ -71,25 +62,11 @@ def test_ci_interval_covers_sample_median(values, seed):
     assert lo <= median <= hi
 
 
-@settings(max_examples=40, deadline=None)
-@given(values=st.lists(finite, min_size=2, max_size=25))
-def test_hdi_interval_is_within_sample_envelope(values):
-    rule = HdiWidthRule(min_repeats=1)
-    lo, hi = rule.interval(values)
-    assert min(values) <= lo <= hi <= max(values)
-
-
 def test_constant_stream_stops_at_min_repeats():
-    for name, expected in (
-        ("ci", "ci_half_width"),
-        ("hdi", "hdi_width"),
-        ("ks", "ks_stable"),
-    ):
-        rule = make_rule(name, min_repeats=2, max_repeats=10,
-                         target=0.05, seed=0)
-        samples, reason = run_repeater(lambda i: 7.0, rule)
-        assert reason == expected
-        assert len(samples) == 2
+    rule = CiHalfWidthRule(min_repeats=2, max_repeats=10, target=0.05)
+    samples, reason = run_repeater(lambda i: 7.0, rule)
+    assert reason == "ci_half_width"
+    assert len(samples) == 2
 
 
 def test_noisy_stream_hits_max_repeats():
@@ -103,33 +80,25 @@ def test_noisy_stream_hits_max_repeats():
 
 
 def test_min_repeats_gates_every_rule():
-    rule = make_rule("ci", min_repeats=5, max_repeats=10,
-                     target=10.0, seed=0)
+    rule = CiHalfWidthRule(min_repeats=5, max_repeats=10, target=10.0)
     assert rule.check([1.0, 1.0]) is None
     assert rule.check([1.0] * 5) == "ci_half_width"
 
 
-def test_ks_statistic_bounds():
-    assert KsStabilityRule.statistic([1.0, 2.0], [1.0, 2.0]) == 0.0
-    assert KsStabilityRule.statistic([0.0, 0.0], [5.0, 5.0]) == 1.0
-
-
-def test_make_rule_rejects_unknown_name_and_bad_knobs():
+def test_rule_rejects_bad_knobs():
     with pytest.raises(ValueError):
-        make_rule("bogus")
+        CiHalfWidthRule(min_repeats=0, max_repeats=5, target=0.05)
     with pytest.raises(ValueError):
-        make_rule("ci", min_repeats=0, max_repeats=5, target=0.05, seed=0)
+        CiHalfWidthRule(min_repeats=5, max_repeats=2, target=0.05)
     with pytest.raises(ValueError):
-        make_rule("ci", min_repeats=5, max_repeats=2, target=0.05, seed=0)
-    with pytest.raises(ValueError):
-        make_rule("hdi", min_repeats=1, max_repeats=2, target=0.0, seed=0)
+        CiHalfWidthRule(min_repeats=1, max_repeats=2, target=0.0)
 
 
 def test_describe_round_trips_knobs():
-    rule = make_rule("ks", min_repeats=2, max_repeats=7,
-                     target=0.25, seed=3)
+    rule = CiHalfWidthRule(min_repeats=2, max_repeats=7,
+                           target=0.25, seed=3)
     assert rule.describe() == {
-        "rule": "ks",
+        "rule": "ci",
         "min_repeats": 2,
         "max_repeats": 7,
         "target": 0.25,

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.experiments import SuiteData
+from repro.engine import ExperimentEngine
+from repro.experiments import (
+    SuiteData,
+    run_limit_study,
+    run_variable_orf_study,
+)
 from repro.sim import Scheme, SchemeKind
 from repro.workloads import get_workload
 
@@ -62,3 +67,38 @@ class TestSuiteData:
             Scheme(SchemeKind.SW_TWO_LEVEL, 8)
         )
         assert small != large  # sizes genuinely differ
+
+
+class TestOneEvaluationPath:
+    """``SuiteData`` always evaluates through its engine's memos."""
+
+    @staticmethod
+    def _counts(data, *names):
+        counters = data.engine.metrics.counters
+        return tuple(counters.get(name, 0) for name in names)
+
+    def test_every_suite_has_an_engine(self, data):
+        assert isinstance(data.engine, ExperimentEngine)
+        assert isinstance(SuiteData(data.items).engine, ExperimentEngine)
+
+    def test_repeated_evaluation_is_a_record_memo_hit(self, data):
+        _, traces = data.items[0]
+        scheme = Scheme(SchemeKind.HW_TWO_LEVEL, 5)
+        first = data.evaluate(traces, scheme)
+        hits, misses = self._counts(
+            data, "record_memo_hits", "record_misses"
+        )
+        assert data.evaluate(traces, scheme).counters == first.counters
+        assert self._counts(data, "record_memo_hits", "record_misses") == (
+            hits + 1,
+            misses,
+        )
+
+    def test_variable_orf_study_reuses_the_limit_study_result(self, data):
+        run_limit_study(data)
+        hits, misses = self._counts(data, "study_memo_hits", "study_misses")
+        run_variable_orf_study(data)
+        assert self._counts(data, "study_memo_hits", "study_misses") == (
+            hits + 1,
+            misses,
+        )

@@ -12,7 +12,7 @@ the committed report against a fresh schema-5 payload.
 import json
 from pathlib import Path
 
-from repro.bench import make_rule
+from repro.bench import CiHalfWidthRule
 from repro.cli import main
 from repro.service.loadgen import (
     _dedup_delta,
@@ -35,7 +35,7 @@ def small_run_options():
         requests=24,
         concurrency=4,
         benchmarks=("vectoradd",),
-        rule=make_rule("ci", min_repeats=2, max_repeats=2, seed=0),
+        rule=CiHalfWidthRule(min_repeats=2, max_repeats=2, seed=0),
     )
 
 

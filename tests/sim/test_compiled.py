@@ -3,6 +3,8 @@ oracle, columnar compilation, dedup, histogram, and cache behaviour."""
 
 import pytest
 
+from repro.alloc import AllocationConfig
+from repro.energy.model import EnergyModel
 from repro.engine.hashing import traceset_fingerprint
 from repro.hierarchy.counters import AccessCounters
 from repro.ir import parse_kernel
@@ -28,7 +30,10 @@ from repro.sim.compiled import (
     software_counters,
 )
 from repro.sim.runner import evaluate_traces_batch
-from repro.workloads import all_workloads
+from repro.sim.schemes import scheme_for_config
+from repro.workloads import all_workloads, generate_workload, get_workload
+
+from tests.sim.test_fuzz_regressions import FUZZ_CORPUS
 
 #: Every scheme kind the paper evaluates, including the Section 7
 #: backward-branch-flush hardware variant.
@@ -49,6 +54,21 @@ HW_SWEEP_SCHEMES = [
     for entries in (1, 2, 3, 4, 6, 8)
     for kind in (SchemeKind.HW_TWO_LEVEL, SchemeKind.HW_THREE_LEVEL)
 ]
+
+#: The limit study's software points: 4, 5 and 8 entries allocated and
+#: charged at 3-entry energy, and 3 entries with persistent strands.
+LIMIT_STUDY_CONFIGS = [
+    AllocationConfig(orf_entries=entries, use_lrf=True, split_lrf=True)
+    for entries in (4, 5, 8)
+] + [
+    AllocationConfig(
+        orf_entries=3,
+        use_lrf=True,
+        split_lrf=True,
+        assume_persistent_strands=True,
+    )
+]
+LIMIT_STUDY_MODEL = EnergyModel(orf_entries=3, split_lrf=True)
 
 #: A kernel with a guard-squashed non-branch write: @P0 iadd executes
 #: with a failing guard for some inputs (reads counted, write squashed).
@@ -83,10 +103,14 @@ merge:
 """
 
 
-def _assert_paths_agree(traces, schemes=ALL_KIND_SCHEMES):
+def _assert_paths_agree(traces, schemes=ALL_KIND_SCHEMES, energy_model=None):
     for scheme in schemes:
-        scalar = evaluate_traces(traces, scheme, use_compiled=False)
-        compiled = evaluate_traces(traces, scheme, use_compiled=True)
+        scalar = evaluate_traces(
+            traces, scheme, energy_model=energy_model, use_compiled=False
+        )
+        compiled = evaluate_traces(
+            traces, scheme, energy_model=energy_model, use_compiled=True
+        )
         assert compiled.counters == scalar.counters, scheme.name
         assert compiled.baseline == scalar.baseline, scheme.name
         assert (
@@ -153,6 +177,37 @@ class TestDifferentialEquivalence:
             )
         ]
         _assert_paths_agree(traces, schemes)
+
+
+class TestLimitStudySoftwarePoints:
+    """The limit study's software points go through
+    ``evaluate_traces(..., energy_model=)``: allocations made against a
+    model other than the scheme's own, and persistent strands, must
+    account the same on both paths."""
+
+    schemes = [scheme_for_config(config) for config in LIMIT_STUDY_CONFIGS]
+
+    def test_schemes_round_trip_the_configs(self):
+        for scheme, config in zip(self.schemes, LIMIT_STUDY_CONFIGS):
+            assert scheme.allocation_config() == config
+
+    @pytest.mark.parametrize(
+        "name", ["matrixmul", "reduction", "hotspot", "histogram"]
+    )
+    def test_suite_workloads(self, name):
+        spec = get_workload(name, 0.5)
+        traces = build_traces(spec.kernel, spec.warp_inputs)
+        _assert_paths_agree(
+            traces, self.schemes, energy_model=LIMIT_STUDY_MODEL
+        )
+
+    @pytest.mark.parametrize("seed", FUZZ_CORPUS)
+    def test_fuzz_corpus(self, seed):
+        spec = generate_workload(seed)
+        traces = build_traces(spec.kernel, spec.warp_inputs)
+        _assert_paths_agree(
+            traces, self.schemes, energy_model=LIMIT_STUDY_MODEL
+        )
 
 
 class TestBatchedHardware:

@@ -118,6 +118,34 @@ class TestTuneCommand:
             <= payload["baseline"]["objective"]
         )
 
+    def test_tune_times_the_one_search_it_ran(self, tmp_path, capsys):
+        kernel = tmp_path / "tiny.asm"
+        kernel.write_text(TINY_KERNEL)
+        out = tmp_path / "BENCH_tuner.json"
+        metrics_out = tmp_path / "metrics.json"
+        assert (
+            main(
+                [
+                    "tune", str(kernel),
+                    "--strategy", "exhaustive",
+                    "--budget", "8",
+                    "--out", str(out),
+                    "--metrics-out", str(metrics_out),
+                ]
+            )
+            == 0
+        )
+        payload = json.loads(out.read_text())
+        wall = payload["bench"]["metrics"]["wall_time_s"]
+        assert wall["samples"] == [payload["wall_time_s"]]
+        assert wall["stop_reason"] == "single_run"
+        # No warm re-search: every evaluation is the search's own miss.
+        counters = json.loads(metrics_out.read_text())["counters"]
+        fresh = payload["evaluations"]["distinct"]
+        assert counters["record_misses"] == fresh
+        assert counters.get("record_memo_hits", 0) == 0
+        assert "(one search)" in capsys.readouterr().out
+
     def test_tune_bad_target_exits_2(self, tmp_path, capsys):
         assert main(["tune", str(tmp_path / "nope.asm")]) == 2
         assert capsys.readouterr().err.startswith("repro: error:")
