@@ -5,7 +5,9 @@ SHA-256 hex fingerprint of everything that determines the entry's
 value.  Writes are atomic (temp file + ``os.replace``) so concurrent
 runs sharing one cache directory can only ever observe complete
 entries.  Unreadable or corrupt entries are treated as misses and
-removed — the cache is a pure accelerator, never a source of truth.
+removed — the cache is a pure accelerator, never a source of truth —
+and counted as ``disk_cache_corrupt_entries`` when the cache was given
+a metrics sink.
 
 Evaluation records and study results are JSON (inspectable, durable);
 trace sets are pickled (an order of magnitude faster to round-trip and
@@ -30,11 +32,19 @@ from typing import Any, List, Optional, Tuple
 class DiskCache:
     """Content-addressed file store rooted at one directory."""
 
-    def __init__(self, root: str, max_bytes: Optional[int] = None) -> None:
+    def __init__(
+        self,
+        root: str,
+        max_bytes: Optional[int] = None,
+        metrics: Optional[Any] = None,
+    ) -> None:
         if max_bytes is not None and max_bytes <= 0:
             raise ValueError("max_bytes must be positive when set")
         self.root = root
         self.max_bytes = max_bytes
+        #: Counter sink (anything with ``count(name)``), e.g. the owner's
+        #: :class:`~repro.engine.metrics.RunMetrics`.
+        self.metrics = metrics
         try:
             os.makedirs(root, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
@@ -58,11 +68,13 @@ class DiskCache:
         except FileNotFoundError:
             return None
         except (OSError, ValueError, pickle.UnpicklingError, EOFError):
-            # Corrupt or torn entry: drop it and report a miss.
+            # Corrupt or torn entry: drop it, count it, report a miss.
             try:
                 os.remove(path)
             except OSError:
                 pass
+            if self.metrics is not None:
+                self.metrics.count("disk_cache_corrupt_entries")
             return None
 
     def _write(self, path: str, payload: bytes) -> None:

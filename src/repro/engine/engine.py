@@ -78,12 +78,14 @@ class ExperimentEngine:
         cache_max_bytes: Optional[int] = None,
     ) -> None:
         self.jobs = max(1, jobs)
+        self.metrics = metrics if metrics is not None else RunMetrics()
         self.cache = (
-            DiskCache(cache_dir, max_bytes=cache_max_bytes)
+            DiskCache(
+                cache_dir, max_bytes=cache_max_bytes, metrics=self.metrics
+            )
             if cache_dir
             else None
         )
-        self.metrics = metrics if metrics is not None else RunMetrics()
         self._records: "Memo[Dict[str, Any]]" = Memo(
             "record", RECORD_MEMO_ENTRIES, self.metrics
         )

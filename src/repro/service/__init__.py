@@ -4,8 +4,8 @@ behind a JSON HTTP API.
 The package layers, bottom up:
 
 * :mod:`repro.service.protocol` — request/response schemas, the error
-  taxonomy (HTTP status per error class), and content fingerprints for
-  request deduplication;
+  taxonomy (HTTP status per error class), content fingerprints for
+  request deduplication, and the raw-body key;
 * :mod:`repro.service.pipeline` — the worker-side compute: a picklable
   job dict in, a JSON result dict out, sharing the registry trace memo
   of :mod:`repro.engine.jobs`;
@@ -15,8 +15,8 @@ The package layers, bottom up:
 * :mod:`repro.service.httpd` — a hand-rolled HTTP/1.1 server on
   asyncio streams (stdlib only, no ``http.server``);
 * :mod:`repro.service.server` — the service itself: routing, bounded
-  result memo + :class:`repro.engine.cache.DiskCache` reuse, metrics,
-  graceful drain;
+  memo of results and repeated bodies' reply bytes +
+  :class:`repro.engine.cache.DiskCache` reuse, metrics, graceful drain;
 * :mod:`repro.service.client` — the one HTTP client: a keep-alive
   connection pool, an async client with the one retry loop, and a thin
   sync wrapper;

@@ -2,12 +2,13 @@
 
 Requests flow::
 
-    admission → ring lookup on SHA-256(op, raw body) → shard forward
+    admission → ring lookup on body_key(op, raw body) → shard forward
 
-* **Routing** — each POST routes by SHA-256 of its op and raw body
-  bytes, straight onto the consistent hash ring.  The coordinator never
-  decodes or normalises a body: the owning shard does that once and
-  memoizes the result, so a repeated body always lands on the shard
+* **Routing** — each POST routes by
+  :func:`~repro.service.protocol.body_key`, SHA-256 of its op and raw
+  body bytes, straight onto the consistent hash ring.  The coordinator
+  never decodes or normalises a body: the owning shard does that once
+  and memoizes the result, so a repeated body always lands on the shard
   that already holds it, and dedup hit rates survive scale-out.  A
   shard's own 4xx (malformed JSON, an unknown benchmark, its 429 with
   ``Retry-After``) passes through byte for byte.
@@ -29,7 +30,6 @@ label); ``GET /metrics`` serves the coordinator's own metrics.
 from __future__ import annotations
 
 import asyncio
-import hashlib
 import json
 import signal
 import sys
@@ -55,7 +55,13 @@ from ...obs.tracer import (
 )
 from ..client import ConnectionPool
 from ..httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
-from ..protocol import Draining, Overloaded, RequestTimeout, ServiceFault
+from ..protocol import (
+    Draining,
+    Overloaded,
+    RequestTimeout,
+    ServiceFault,
+    body_key,
+)
 from .ring import ConsistentHashRing
 
 
@@ -165,6 +171,7 @@ class ClusterCoordinator:
             self.config.host,
             self.config.port,
             max_body_bytes=self.config.max_body_bytes,
+            metrics=self.metrics,
         )
         await self._http.start()
         self.port = self._http.port
@@ -334,9 +341,8 @@ class ClusterCoordinator:
             )
         assert self._loop is not None
         deadline = self._loop.time() + self.config.request_timeout_s
-        key = hashlib.sha256(op.encode("utf-8") + b"\0" + body).hexdigest()
         attempts = 0
-        for shard in self._targets(key)[:2]:
+        for shard in self._targets(body_key(op, body))[:2]:
             remaining = deadline - self._loop.time()
             if remaining <= 0:
                 break

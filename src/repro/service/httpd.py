@@ -10,6 +10,13 @@ The server is handler-agnostic: one async callable maps
 :class:`HttpRequest` to :class:`HttpResponse`.  Handler exceptions
 become opaque 500s (the traceback stays server-side); protocol
 violations become 400/405/413/431 and close the connection.
+
+Reads are bounded in time: a connection waits at most
+:data:`IDLE_TIMEOUT_S` for its next request line (keep-alive idling
+included), and a request's headers and body must then arrive within
+:data:`READ_DEADLINE_S`.  Either expiry closes the connection and
+counts ``http_read_timeouts``, so a stalled client cannot hold a
+connection and its coroutine forever.
 """
 
 from __future__ import annotations
@@ -17,11 +24,15 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Awaitable, Callable, Dict, Optional, Set
+from typing import Any, Awaitable, Callable, Dict, Optional, Set
 
 #: Streams read limit — also bounds the request line and each header.
 _READ_LIMIT = 64 * 1024
 _MAX_HEADERS = 100
+#: Seconds a connection may wait for its next complete request line.
+IDLE_TIMEOUT_S = 60.0
+#: Seconds a request's headers and body may take after its request line.
+READ_DEADLINE_S = 30.0
 
 REASONS = {
     200: "OK",
@@ -82,11 +93,14 @@ class AsyncHttpServer:
         port: int = 0,
         *,
         max_body_bytes: int = 1 << 20,
+        metrics: Optional[Any] = None,
     ) -> None:
         self.handler = handler
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
+        #: Counter sink (anything with ``count(name)``) for read timeouts.
+        self.metrics = metrics
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
         self.active_requests = 0
@@ -124,7 +138,10 @@ class AsyncHttpServer:
         try:
             while True:
                 try:
-                    request = await self._read_request(reader)
+                    # One timer per request: the idle timeout, moved to
+                    # the read deadline once the request line is in.
+                    async with asyncio.timeout(IDLE_TIMEOUT_S) as deadline:
+                        request = await self._read_request(reader, deadline)
                 except _ProtocolError as error:
                     await self._write_response(
                         writer,
@@ -143,6 +160,10 @@ class AsyncHttpServer:
                     ConnectionError,
                     asyncio.LimitOverrunError,
                 ):
+                    return
+                except TimeoutError:
+                    if self.metrics is not None:
+                        self.metrics.count("http_read_timeouts")
                     return
                 if request is None:
                     return
@@ -178,11 +199,14 @@ class AsyncHttpServer:
                 pass
 
     async def _read_request(
-        self, reader: asyncio.StreamReader
+        self, reader: asyncio.StreamReader, deadline: asyncio.Timeout
     ) -> Optional[HttpRequest]:
         line = await reader.readline()
         if not line:
             return None  # clean EOF between requests
+        deadline.reschedule(
+            asyncio.get_running_loop().time() + READ_DEADLINE_S
+        )
         try:
             method, target, version = (
                 line.decode("latin-1").rstrip("\r\n").split(" ")

@@ -29,12 +29,18 @@ kernel deduplicate), the canonical warp JSON, and the scheme — it is
 the key for in-flight dedup, the in-memory result memo, and the
 on-disk cache.
 
+A request also has a :func:`body_key`: SHA-256 of its op and raw body
+bytes, known before anything is decoded.  The cluster coordinator
+routes on it, and a server keys the stored bytes of a repeated body's
+reply on it.
+
 Errors map to HTTP statuses through the exception hierarchy rooted at
 :class:`ServiceFault`; handlers never leak tracebacks to clients.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -313,6 +319,15 @@ def canonical_tune(body: Dict[str, Any]) -> Dict[str, Any]:
 
 
 # -- request normalisation -------------------------------------------------
+
+
+def body_key(op: str, body: bytes) -> str:
+    """SHA-256 hex of ``op`` and the raw request ``body``.
+
+    Byte-identical requests share the key; two spellings of one job do
+    not (their :class:`ServiceJob` fingerprints still match).
+    """
+    return hashlib.sha256(op.encode("utf-8") + b"\0" + body).hexdigest()
 
 
 @dataclass(frozen=True)

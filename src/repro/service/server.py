@@ -10,17 +10,23 @@ Endpoints::
                         gauges/histograms); Prometheus text on
                         ``Accept: text/plain`` or ``?format=prometheus``
 
-A request flows: normalise (400 on anything malformed, parse errors
-included) → result memo (a bounded LRU :class:`~repro.memo.Memo` of
-:data:`RESULT_MEMO_ENTRIES` results, then
-:class:`~repro.engine.cache.DiskCache` kind ``"service"``) → the
-:class:`~repro.service.batcher.JobBatcher` (in-flight dedup, bounded
-admission → 429, micro-batch dispatch) → a bounded
-``ProcessPoolExecutor`` running
+A request flows: stored reply bytes under the raw body's
+:func:`~repro.service.protocol.body_key` → normalise (400 on anything
+malformed, parse errors included) → result memo under the request
+fingerprint, then :class:`~repro.engine.cache.DiskCache` kind
+``"service"`` → the :class:`~repro.service.batcher.JobBatcher`
+(in-flight dedup, bounded admission → 429, micro-batch dispatch) → a
+bounded ``ProcessPoolExecutor`` running
 :func:`~repro.service.pipeline.run_service_job` → memo + disk store.
 Results are pure functions of the request fingerprint, so every cache
 layer is transparent: a memo hit returns byte-identical payloads to a
 cold compute.
+
+Both keys live in one bounded LRU :class:`~repro.memo.Memo` of
+:data:`RESULT_MEMO_ENTRIES` entries.  A body's reply bytes are stored
+the first time the fingerprint path serves it from a cache, so a body
+sent once costs no entry, and a byte-identical repeat is answered
+without decoding, normalising or encoding anything.
 
 The pool is vetted at startup with a probe job; where process pools
 cannot start (restricted sandboxes) the service degrades to a thread
@@ -40,7 +46,7 @@ import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from .. import __version__
 from ..engine.cache import DiskCache
@@ -57,12 +63,18 @@ from ..obs.tracer import (
 from .batcher import JobBatcher
 from .httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
 from .pipeline import RESULT_SCHEMA, _probe, run_service_job
-from .protocol import Draining, ServiceFault, ServiceJob, normalize_request
+from .protocol import (
+    Draining,
+    ServiceFault,
+    ServiceJob,
+    body_key,
+    normalize_request,
+)
 
 
-#: Results one server keeps in memory (about 0.5 KB of JSON per evaluate
-#: result, 7.5 KB per allocate result); evicted ones recompute or come
-#: back from the disk cache.
+#: Results and stored replies one server keeps in memory (about 0.5 KB
+#: of JSON per evaluate result, 7.5 KB per allocate result); evicted
+#: ones recompute or come back from the disk cache.
 RESULT_MEMO_ENTRIES = 1024
 
 
@@ -108,11 +120,17 @@ class ServiceServer:
         self.config = config
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.cache = (
-            DiskCache(config.cache_dir, max_bytes=config.cache_max_bytes)
+            DiskCache(
+                config.cache_dir,
+                max_bytes=config.cache_max_bytes,
+                metrics=self.metrics,
+            )
             if config.cache_dir
             else None
         )
-        self._memo: "Memo[Dict[str, Any]]" = Memo(
+        # Result dicts under request fingerprints, and 200 reply bytes
+        # under the body keys of repeated bodies.
+        self._memo: "Memo[Union[Dict[str, Any], bytes]]" = Memo(
             "service", RESULT_MEMO_ENTRIES, self.metrics
         )
         self._executor: Optional[Executor] = None
@@ -167,6 +185,7 @@ class ServiceServer:
             self.config.host,
             self.config.port,
             max_body_bytes=self.config.max_body_bytes,
+            metrics=self.metrics,
         )
         await self._http.start()
         self.port = self._http.port
@@ -294,6 +313,11 @@ class ServiceServer:
     ) -> HttpResponse:
         if self.draining:
             raise Draining("server is draining; no new work accepted")
+        key = body_key(op, request.body)
+        reply = self._memo.get(key)
+        if reply is not None:
+            self.metrics.count(f"{op}_responses")
+            return HttpResponse(200, reply)
         try:
             body = request.json()
         except ValueError as error:
@@ -317,7 +341,13 @@ class ServiceServer:
         payload["served_from"] = served_from
         if self.config.shard is not None:
             payload["shard"] = self.config.shard
-        return json_response(200, payload)
+        response = json_response(200, payload)
+        if served_from == "cache":
+            # Its result was already known, so this body is worth a
+            # stored reply: a byte-identical repeat skips decode,
+            # normalise and encode.
+            self._memo.put(key, response.body)
+        return response
 
     def _lookup(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         result = self._memo.get(fingerprint)

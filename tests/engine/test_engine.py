@@ -156,6 +156,28 @@ def test_disk_cache_corrupt_entry_is_a_miss(tmp_path):
     assert cache.get_json("records", "deadbeef") == {"a": 2}
 
 
+def test_disk_cache_counts_the_corrupt_entries_it_drops(tmp_path):
+    metrics = RunMetrics()
+    cache = DiskCache(str(tmp_path), metrics=metrics)
+    cache.put_json("records", "ab01", {"a": 1})
+    cache.put_pickle("traces", "cd02", {"b": [1, 2, 3]})
+    json_path = tmp_path / "records" / "ab" / "ab01.json"
+    pickle_path = tmp_path / "traces" / "cd" / "cd02.pkl"
+    json_path.write_bytes(json_path.read_bytes()[:-3])  # torn record
+    pickle_path.write_bytes(b"\x00garbage, not a pickle")
+
+    assert cache.get_json("records", "ab01") is None
+    assert cache.get_pickle("traces", "cd02") is None
+    assert not json_path.exists() and not pickle_path.exists()
+    assert metrics.counters["disk_cache_corrupt_entries"] == 2
+    # A plain miss is not a corrupt entry.
+    assert cache.get_json("records", "ef03") is None
+    assert metrics.counters["disk_cache_corrupt_entries"] == 2
+    # An engine hands its own metrics to its cache.
+    engine = ExperimentEngine(cache_dir=str(tmp_path / "engine"))
+    assert engine.cache.metrics is engine.metrics
+
+
 # -- engine memoization ----------------------------------------------------
 
 

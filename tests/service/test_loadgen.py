@@ -26,7 +26,7 @@ from tests.service.test_server import running_server
 
 COUNTERS = ("inflight_dedup_hits", "service_memo_hits", "service_disk_hits")
 
-#: The committed loadgen report (schema 4 when schema 5 landed).
+#: The committed loadgen report, as ``repro loadgen`` writes it (schema 5).
 COMMITTED_BENCH = Path(__file__).resolve().parents[2] / "BENCH_service.json"
 
 

@@ -2,6 +2,7 @@
 warp codecs, dedup fingerprints, and equivalence of the worker-side
 compute to the direct engine path."""
 
+import hashlib
 import json
 
 import pytest
@@ -14,6 +15,7 @@ from repro.service.pipeline import run_service_job
 from repro.service.protocol import (
     BadRequest,
     ParseError,
+    body_key,
     normalize_request,
     scheme_from_json,
     scheme_to_json,
@@ -94,6 +96,16 @@ def test_normalize_benchmark_request():
     assert job.op == "evaluate"
     assert job.payload["benchmark"] == "vectoradd"
     assert job.payload["scale"] == 2.0
+
+
+def test_body_key_is_the_routing_hash():
+    """The ring position of every request depends on this formula."""
+    body = json.dumps({"benchmark": "vectoradd"}).encode("utf-8")
+    assert body_key("evaluate", body) == hashlib.sha256(
+        b"evaluate\0" + body
+    ).hexdigest()
+    assert body_key("allocate", body) != body_key("evaluate", body)
+    assert body_key("evaluate", body + b" ") != body_key("evaluate", body)
 
 
 def test_normalize_fingerprint_dedups_respellings():

@@ -13,6 +13,7 @@ proves drain completes in-flight work.
 import contextlib
 import http.client
 import json
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -23,7 +24,7 @@ from repro.engine.records import record_payload
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.loadgen import LOADGEN_KERNEL
 from repro.service.server import ServiceConfig, ServiceServer
-from repro.service.protocol import scheme_from_json
+from repro.service.protocol import body_key, scheme_from_json
 from repro.sim.runner import build_traces, evaluate_traces
 from repro.workloads.suites import get_workload
 
@@ -354,3 +355,253 @@ def _raw_text(port, path):
         return response.status, response.read().decode("utf-8")
     finally:
         connection.close()
+
+
+# -- stored replies of repeated bodies ---------------------------------------
+
+TUNE_BODY = {
+    "benchmark": "vectoradd",
+    "strategy": "hillclimb",
+    "budget": 4,
+    "seed": 3,
+}
+REPLY_BODIES = {
+    "evaluate": EVAL_BODY,
+    "allocate": {"kernel": LOADGEN_KERNEL, "scheme": SW_JSON},
+    "tune": TUNE_BODY,
+}
+
+
+def post_bytes(port, op, body):
+    """POST raw ``body`` bytes; returns ``(status, reply bytes)``."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request(
+            "POST", f"/v1/{op}", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def memo_hits(server):
+    return server.metrics.to_dict()["counters"].get("service_memo_hits", 0)
+
+
+def count_normalize_calls(monkeypatch):
+    import repro.service.server as server_module
+
+    calls = []
+    real = server_module.normalize_request
+
+    def spy(op, body):
+        calls.append(op)
+        return real(op, body)
+
+    monkeypatch.setattr(server_module, "normalize_request", spy)
+    return calls
+
+
+@pytest.mark.parametrize("op", sorted(REPLY_BODIES))
+def test_repeated_body_is_answered_with_the_memo_reply_bytes(
+    op, monkeypatch
+):
+    normalized = count_normalize_calls(monkeypatch)
+    body = json.dumps(REPLY_BODIES[op]).encode("utf-8")
+    with running_server() as server:
+        key = body_key(op, body)
+        status, computed = post_bytes(server.port, op, body)
+        assert status == 200
+        assert json.loads(computed)["served_from"] == "computed"
+        assert server._memo.get(key) is None  # computed: no reply stored
+        assert memo_hits(server) == 0
+
+        # The fingerprint path serves the repeat and stores its bytes.
+        status, from_memo = post_bytes(server.port, op, body)
+        assert status == 200
+        assert json.loads(from_memo)["served_from"] == "cache"
+        assert memo_hits(server) == 1
+        assert len(normalized) == 2
+
+        # Later repeats are those bytes, with nothing decoded again.
+        for hits in (2, 3):
+            status, stored = post_bytes(server.port, op, body)
+            assert (status, stored) == (200, from_memo)
+            assert memo_hits(server) == hits
+        assert len(normalized) == 2
+        counters = server.metrics.to_dict()["counters"]
+        assert counters[f"{op}_responses"] == 4
+        assert counters["jobs_executed"] == 1
+
+        stripped = {
+            k: v for k, v in json.loads(from_memo).items()
+            if k != "served_from"
+        }
+        assert stripped == {
+            k: v for k, v in json.loads(computed).items()
+            if k != "served_from"
+        }
+
+
+def test_respelled_kernel_shares_fingerprint_and_result():
+    respelled = "# the loadgen kernel, spelled differently\n\n" + "\n".join(
+        f"{line}    ; line {number}" if line.strip() else line
+        for number, line in enumerate(LOADGEN_KERNEL.splitlines())
+    ).replace("loop:\n", "\nloop:\n\n") + "\n"
+    assert respelled != LOADGEN_KERNEL
+    bodies = [
+        json.dumps({"kernel": text, "scheme": SW_JSON}).encode("utf-8")
+        for text in (LOADGEN_KERNEL, respelled)
+    ]
+    with running_server() as server:
+        status, original = post_bytes(server.port, "evaluate", bodies[0])
+        assert status == 200
+        status, other = post_bytes(server.port, "evaluate", bodies[1])
+        assert status == 200
+        first, second = json.loads(original), json.loads(other)
+        assert second["served_from"] == "cache"
+        assert second["fingerprint"] == first["fingerprint"]
+        assert second["record"] == first["record"]
+        # Both spellings' stored replies are the one memo reply.
+        status, original_again = post_bytes(
+            server.port, "evaluate", bodies[0]
+        )
+        assert status == 200
+        for _ in range(2):
+            assert post_bytes(server.port, "evaluate", bodies[1]) == (
+                200, original_again
+            )
+        assert original_again == other
+        assert server.metrics.to_dict()["counters"]["jobs_executed"] == 1
+
+
+def test_invalid_body_answers_400_every_time_and_is_never_stored():
+    invalid = [
+        b'{"kernel": "definitely not asm"}',
+        b'{"benchmark": "vectoradd", "bogus": 1}',
+        b"{not json",
+    ]
+    with running_server() as server:
+        for body in invalid:
+            replies = {post_bytes(server.port, "evaluate", body)
+                       for _ in range(3)}
+            assert len(replies) == 1
+            assert replies.pop()[0] == 400
+        assert len(server._memo) == 0
+        assert memo_hits(server) == 0
+
+
+def test_body_seen_once_adds_no_stored_reply():
+    bodies = [
+        json.dumps({
+            "benchmark": "vectoradd", "scale": 1.0,
+            "scheme": {"kind": "sw_lrf", "entries_per_thread": entries},
+        }).encode("utf-8")
+        for entries in (1, 2, 3)
+    ]
+    with running_server() as server:
+        for body in bodies:
+            assert post_bytes(server.port, "evaluate", body)[0] == 200
+        # One result per fingerprint, nothing under the body keys.
+        assert len(server._memo) == len(bodies)
+        for body in bodies:
+            assert server._memo.get(body_key("evaluate", body)) is None
+
+
+def test_draining_server_rejects_a_stored_body_with_503():
+    body = json.dumps(EVAL_BODY).encode("utf-8")
+    with running_server() as server:
+        for _ in range(3):
+            assert post_bytes(server.port, "evaluate", body)[0] == 200
+        assert isinstance(
+            server._memo.get(body_key("evaluate", body)), bytes
+        )
+        server.draining = True
+        try:
+            status, reply = post_bytes(server.port, "evaluate", body)
+            assert status == 503
+            assert json.loads(reply)["error"]["type"] == "draining"
+        finally:
+            server.draining = False
+
+
+def test_corrupt_disk_entry_is_counted_and_recomputed(tmp_path):
+    with running_server(cache_dir=str(tmp_path)) as server:
+        first = client_for(server).evaluate(**EVAL_BODY)
+    (entry,) = tmp_path.glob("service/*/*.json")
+    entry.write_text("{torn")
+    with running_server(cache_dir=str(tmp_path)) as server:
+        client = client_for(server)
+        again = client.evaluate(**EVAL_BODY)
+        counters = client.metrics()["counters"]
+    assert again["served_from"] == "computed"
+    assert again["record"] == first["record"]
+    assert counters["disk_cache_corrupt_entries"] == 1
+    assert counters.get("service_disk_hits", 0) == 0
+
+
+# -- bounded reads -------------------------------------------------------------
+
+
+@pytest.fixture
+def short_read_timeouts(monkeypatch):
+    import repro.service.httpd as httpd
+
+    monkeypatch.setattr(httpd, "IDLE_TIMEOUT_S", 1.0)
+    monkeypatch.setattr(httpd, "READ_DEADLINE_S", 0.5)
+
+
+def read_timeouts(server):
+    return server.metrics.to_dict()["counters"].get("http_read_timeouts", 0)
+
+
+def wait_for_close(sock, budget_s=10.0):
+    """Seconds until the server closes ``sock`` (EOF)."""
+    sock.settimeout(budget_s)
+    began = time.monotonic()
+    assert sock.recv(1024) == b""
+    return time.monotonic() - began
+
+
+@pytest.mark.parametrize("partial", [
+    b"POST /v1/evaluate HTT",
+    b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: 40\r\n\r\n{\"ben",
+])
+def test_stalled_client_is_disconnected_and_counted(
+    short_read_timeouts, partial
+):
+    with running_server() as server:
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(partial)
+            assert wait_for_close(sock) < 5.0
+        deadline = time.monotonic() + 5.0
+        while read_timeouts(server) < 1:
+            assert time.monotonic() < deadline, "timeout not counted"
+            time.sleep(0.01)
+        assert read_timeouts(server) == 1
+        # The server still serves.
+        assert client_for(server).healthz()["status"] == "ok"
+
+
+def test_keep_alive_pause_below_idle_timeout_is_kept(short_read_timeouts):
+    # Three pauses of 0.4 s outlast one idle timeout together, not
+    # singly: the idle clock restarts with every request.
+    with running_server() as server:
+        connection = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        try:
+            connection.connect()
+            sock = connection.sock
+            for _ in range(4):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+                time.sleep(0.4)
+            assert connection.sock is sock  # never reconnected
+        finally:
+            connection.close()
+        assert read_timeouts(server) == 0
