@@ -9,6 +9,8 @@ The package layers, bottom up:
 * :mod:`repro.service.pipeline` — the worker-side compute: a picklable
   job dict in, a JSON result dict out, sharing the registry trace memo
   of :mod:`repro.engine.jobs`;
+* :mod:`repro.service.workers` — the forked worker pool the server's
+  event loop drives over socketpairs, with respawn of dead workers;
 * :mod:`repro.service.batcher` — micro-batching dispatcher with
   in-flight deduplication, bounded admission (backpressure), and
   per-request timeouts;

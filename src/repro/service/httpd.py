@@ -17,6 +17,11 @@ included), and a request's headers and body must then arrive within
 :data:`READ_DEADLINE_S`.  Either expiry closes the connection and
 counts ``http_read_timeouts``, so a stalled client cannot hold a
 connection and its coroutine forever.
+
+Connections are bounded in number: past :data:`MAX_CONNECTIONS` open
+ones, a new connection is answered 503 with ``Retry-After``, closed
+without reading its request, and counted as
+``http_connections_refused``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ _MAX_HEADERS = 100
 IDLE_TIMEOUT_S = 60.0
 #: Seconds a request's headers and body may take after its request line.
 READ_DEADLINE_S = 30.0
+#: Connections served at once; one more is answered 503 and closed.
+MAX_CONNECTIONS = 512
 
 REASONS = {
     200: "OK",
@@ -99,7 +106,8 @@ class AsyncHttpServer:
         self.host = host
         self.port = port
         self.max_body_bytes = max_body_bytes
-        #: Counter sink (anything with ``count(name)``) for read timeouts.
+        #: Counter sink (anything with ``count(name)``) for read
+        #: timeouts and refused connections.
         self.metrics = metrics
         self._server: Optional[asyncio.AbstractServer] = None
         self._writers: Set[asyncio.StreamWriter] = set()
@@ -129,11 +137,33 @@ class AsyncHttpServer:
             except Exception:
                 pass
 
+    def _count(self, name: str) -> None:
+        if self.metrics is not None:
+            self.metrics.count(name)
+
     # -- connection loop ---------------------------------------------------
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        if len(self._writers) >= MAX_CONNECTIONS:
+            self._count("http_connections_refused")
+            await self._write_response(
+                writer,
+                json_response(
+                    503,
+                    {"error": {
+                        "type": "too_many_connections",
+                        "message": f"{MAX_CONNECTIONS} connections "
+                                   "open; retry shortly",
+                        "retry_after": 1.0,
+                    }},
+                    {"Retry-After": "1"},
+                ),
+                close=True,
+            )
+            writer.close()
+            return
         self._writers.add(writer)
         try:
             while True:
@@ -162,8 +192,7 @@ class AsyncHttpServer:
                 ):
                     return
                 except TimeoutError:
-                    if self.metrics is not None:
-                        self.metrics.count("http_read_timeouts")
+                    self._count("http_read_timeouts")
                     return
                 if request is None:
                     return

@@ -117,6 +117,15 @@ class Draining(ServiceFault):
     error_type = "draining"
 
 
+class WorkerLost(ServiceFault):
+    """No pool worker finished the job: the one running it died (its
+    replacement is already forked), or none could be forked.  A retry
+    recomputes."""
+
+    status = 503
+    error_type = "worker_lost"
+
+
 class RequestTimeout(ServiceFault):
     status = 504
     error_type = "timeout"

@@ -16,7 +16,7 @@ malformed, parse errors included) → result memo under the request
 fingerprint, then :class:`~repro.engine.cache.DiskCache` kind
 ``"service"`` → the :class:`~repro.service.batcher.JobBatcher`
 (in-flight dedup, bounded admission → 429, micro-batch dispatch) → a
-bounded ``ProcessPoolExecutor`` running
+forked worker of the :class:`~repro.service.workers.WorkerPool` running
 :func:`~repro.service.pipeline.run_service_job` → memo + disk store.
 Results are pure functions of the request fingerprint, so every cache
 layer is transparent: a memo hit returns byte-identical payloads to a
@@ -28,13 +28,15 @@ the first time the fingerprint path serves it from a cache, so a body
 sent once costs no entry, and a byte-identical repeat is answered
 without decoding, normalising or encoding anything.
 
-The pool is vetted at startup with a probe job; where process pools
-cannot start (restricted sandboxes) the service degrades to a thread
-executor and says so in ``/healthz`` — same results, less parallelism.
+The pool is vetted at startup with a probe job; where worker
+processes cannot start (restricted sandboxes) the service degrades to
+a thread executor and says so in ``/healthz`` — same results, less
+parallelism.  A worker that dies costs only the job it was running
+(503 ``worker_lost``); the pool forks its replacement.
 
 SIGTERM/SIGINT trigger graceful drain: stop accepting, finish
 in-flight work (bounded by ``drain_grace_s``), flush keep-alive
-connections, shut the executor down.
+connections, stop and reap the workers.
 """
 
 from __future__ import annotations
@@ -44,9 +46,9 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Union
+from typing import Any, Awaitable, Callable, Dict, Optional, Union
 
 from .. import __version__
 from ..engine.cache import DiskCache
@@ -70,6 +72,7 @@ from .protocol import (
     body_key,
     normalize_request,
 )
+from .workers import WorkerPool
 
 
 #: Results and stored replies one server keeps in memory (about 0.5 KB
@@ -110,6 +113,15 @@ class ServiceConfig:
     #: loadgen can attribute work per shard.  ``None`` = standalone.
     shard: Optional[str] = None
 
+    def validate(self) -> None:
+        """Raise ``ValueError`` on a setting no server can run with."""
+        if self.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {self.jobs}")
+        if self.max_pending < 1:
+            raise ValueError(
+                f"--max-pending must be at least 1, got {self.max_pending}"
+            )
+
 
 class ServiceServer:
     """One service instance; usable from a thread (tests) or the CLI."""
@@ -117,6 +129,7 @@ class ServiceServer:
     def __init__(
         self, config: ServiceConfig, metrics: Optional[RunMetrics] = None
     ) -> None:
+        config.validate()
         self.config = config
         self.metrics = metrics if metrics is not None else RunMetrics()
         self.cache = (
@@ -133,7 +146,9 @@ class ServiceServer:
         self._memo: "Memo[Union[Dict[str, Any], bytes]]" = Memo(
             "service", RESULT_MEMO_ENTRIES, self.metrics
         )
-        self._executor: Optional[Executor] = None
+        # Exactly one of the two runs jobs once the server started.
+        self._pool: Optional[WorkerPool] = None
+        self._threads: Optional[ThreadPoolExecutor] = None
         self.executor_kind = "none"
         self._batcher: Optional[JobBatcher] = None
         self._http: Optional[AsyncHttpServer] = None
@@ -172,7 +187,7 @@ class ServiceServer:
     async def _main(self) -> None:
         self._loop = asyncio.get_running_loop()
         self._shutdown = asyncio.Event()
-        self._executor, self.executor_kind = self._make_executor()
+        self.executor_kind = await self._start_executor()
         self._batcher = JobBatcher(
             self._run_job,
             max_pending=self.config.max_pending,
@@ -215,21 +230,24 @@ class ServiceServer:
                 # drives shutdown via request_shutdown() instead.
                 return
 
-    def _make_executor(self):
-        if self.config.executor == "thread":
-            return (
-                ThreadPoolExecutor(max_workers=self.config.jobs),
-                "thread",
-            )
-        try:
-            pool = ProcessPoolExecutor(max_workers=self.config.jobs)
-            pool.submit(_probe).result(timeout=60)
-            return pool, "process"
-        except Exception:
-            return (
-                ThreadPoolExecutor(max_workers=self.config.jobs),
-                "thread",
-            )
+    async def _start_executor(self) -> str:
+        if self.config.executor == "process":
+            pool = WorkerPool(self.config.jobs, self.metrics)
+            try:
+                pool.start()
+                await asyncio.wait_for(pool.call(_probe), 60)
+            except Exception:
+                await pool.close()
+            else:
+                self._pool = pool
+                return "process"
+        self._threads = ThreadPoolExecutor(max_workers=self.config.jobs)
+        return "thread"
+
+    def _call(self, fn: Callable[..., Any], *args: Any) -> Awaitable[Any]:
+        if self._pool is not None:
+            return self._pool.call(fn, *args)
+        return self._loop.run_in_executor(self._threads, fn, *args)
 
     async def _drain(self) -> None:
         with self.metrics.stage("drain"):
@@ -253,8 +271,10 @@ class ServiceServer:
             ):
                 await asyncio.sleep(0.01)
             self._http.close_idle_connections()
-            if self._executor is not None:
-                self._executor.shutdown(wait=True)
+            if self._pool is not None:
+                await self._pool.close()
+            if self._threads is not None:
+                self._threads.shutdown(wait=True)
 
     # -- request handling --------------------------------------------------
 
@@ -371,7 +391,6 @@ class ServiceServer:
         the worker records its own spans and returns them next to the
         result, which stays byte-identical to the untraced path.
         """
-        assert self._loop is not None and self._executor is not None
         with self.metrics.stage("execute"):
             if TRACER.enabled:
                 with TRACER.span(
@@ -379,8 +398,7 @@ class ServiceServer:
                     op=job.op,
                     fingerprint=job.fingerprint[:16],
                 ):
-                    wrapped = await self._loop.run_in_executor(
-                        self._executor,
+                    wrapped = await self._call(
                         traced_call,
                         TRACER.current_carrier(),
                         run_service_job,
@@ -389,9 +407,7 @@ class ServiceServer:
                 TRACER.ingest(wrapped["spans"])
                 result = wrapped["result"]
             else:
-                result = await self._loop.run_in_executor(
-                    self._executor, run_service_job, job.payload
-                )
+                result = await self._call(run_service_job, job.payload)
         self.metrics.count("jobs_executed")
         self._memo.put(job.fingerprint, result)
         if self.cache is not None:
@@ -464,7 +480,11 @@ def serve_forever(
     config: ServiceConfig, metrics_out: Optional[str] = None
 ) -> int:
     """CLI entry: run until SIGTERM/SIGINT, then drain and report."""
-    server = ServiceServer(config)
+    try:
+        server = ServiceServer(config)
+    except ValueError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     try:
         server.run_forever()
     except KeyboardInterrupt:

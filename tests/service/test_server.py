@@ -605,3 +605,46 @@ def test_keep_alive_pause_below_idle_timeout_is_kept(short_read_timeouts):
         finally:
             connection.close()
         assert read_timeouts(server) == 0
+
+
+# -- bounded connections -------------------------------------------------------
+
+
+def test_connection_past_the_cap_gets_503_and_is_counted(monkeypatch):
+    import repro.service.httpd as httpd
+
+    monkeypatch.setattr(httpd, "MAX_CONNECTIONS", 2)
+    with running_server() as server:
+        held = [
+            http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+            for _ in range(2)
+        ]
+        for connection in held:
+            connection.request("GET", "/healthz")
+            assert connection.getresponse().read()
+
+        extra = http.client.HTTPConnection(
+            "127.0.0.1", server.port, timeout=10
+        )
+        extra.request("GET", "/healthz")
+        response = extra.getresponse()
+        payload = json.loads(response.read())
+        assert response.status == 503
+        assert response.getheader("Connection") == "close"
+        assert response.getheader("Retry-After") == "1"
+        assert payload["error"]["type"] == "too_many_connections"
+        extra.close()
+        counters = server.metrics.to_dict()["counters"]
+        assert counters["http_connections_refused"] == 1
+
+        # The held connections still serve, and a freed slot admits
+        # the next connection.
+        held[0].request("GET", "/healthz")
+        assert held[0].getresponse().status == 200
+        held[1].close()
+        deadline = time.monotonic() + 5.0
+        while len(server._http._writers) > 1:
+            assert time.monotonic() < deadline, "closed slot never freed"
+            time.sleep(0.01)
+        assert client_for(server).healthz()["status"] == "ok"
+        held[0].close()

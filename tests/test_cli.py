@@ -115,3 +115,11 @@ class TestFigureCommands:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             main([])
+
+
+class TestServeCommand:
+    @pytest.mark.parametrize("flag", ["--jobs", "--max-pending"])
+    def test_pool_size_below_one_exits_2(self, flag, capsys):
+        assert main(["serve", "--port", "0", flag, "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"repro: error: {flag} must be at least 1, got 0\n"
