@@ -439,74 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--trace-jsonl", default=None,
         help="enable span tracing; stream spans to this JSONL file",
     )
-    serve.add_argument(
-        "--shard-of", default=None, metavar="K/N",
-        help="cluster identity (e.g. 0/2): stamp responses with this "
-             "shard label; normally set by 'repro cluster'",
-    )
-
-    cluster = sub.add_parser(
-        "cluster",
-        help="run a cluster coordinator over N allocation-service shards",
-    )
-    cluster.add_argument("--host", default="127.0.0.1")
-    cluster.add_argument(
-        "--port", type=int, default=8078,
-        help="coordinator listen port (default 8078)",
-    )
-    cluster.add_argument(
-        "--shards", type=int, default=0,
-        help="spawn this many shard subprocesses on ephemeral ports",
-    )
-    cluster.add_argument(
-        "--shard-addr", action="append", default=[], metavar="HOST:PORT",
-        help="attach to an already-running shard (repeatable); "
-             "mutually exclusive with --shards",
-    )
-    cluster.add_argument(
-        "--shard-jobs", type=int, default=2,
-        help="executor workers per spawned shard (default 2)",
-    )
-    cluster.add_argument(
-        "--shard-executor", choices=("process", "thread"),
-        default="process",
-        help="evaluation executor for spawned shards (default process)",
-    )
-    cluster.add_argument(
-        "--shard-port-base", type=int, default=0,
-        help="first shard port (0 = ephemeral; shard i gets base+i)",
-    )
-    cluster.add_argument("--cache-dir", default=None)
-    cluster.add_argument(
-        "--max-pending", type=int, default=256,
-        help="coordinator-wide in-flight forwards before 429 "
-             "(default 256)",
-    )
-    cluster.add_argument(
-        "--timeout", type=float, default=30.0,
-        help="per-forward seconds before 504 (default 30)",
-    )
-    cluster.add_argument(
-        "--wait-secs", type=float, default=60.0,
-        help="wait this long for spawned shards to become healthy",
-    )
-    cluster.add_argument("--metrics-out", default=None)
-    cluster.add_argument(
-        "--trace-out", default=None,
-        help="enable cluster-wide span tracing: spawned shards stream "
-             "spans to per-shard JSONL sinks and everything merges "
-             "into one Chrome trace here on shutdown",
-    )
-    cluster.add_argument(
-        "--trace-jsonl", default=None,
-        help="also stream the coordinator's own spans to this JSONL "
-             "file",
-    )
 
     loadgen = sub.add_parser(
-        "loadgen",
-        help="benchmark a running allocation service or cluster "
-             "coordinator",
+        "loadgen", help="benchmark a running allocation service"
     )
     loadgen.add_argument("--host", default="127.0.0.1")
     loadgen.add_argument("--port", type=int, default=8077)
@@ -597,7 +532,7 @@ def _finish_engine(engine, args) -> None:
 
 #: Commands that own their tracer lifecycle (the service configures the
 #: tracer from ServiceConfig; loadgen writes its own client-side trace).
-_OBS_SELF_MANAGED = ("serve", "loadgen", "cluster")
+_OBS_SELF_MANAGED = ("serve", "loadgen")
 
 
 def _setup_observability(args) -> None:
@@ -973,19 +908,6 @@ def _dispatch(args) -> int:
     if args.command == "serve":
         from .service.server import ServiceConfig, serve_forever
 
-        shard = args.shard_of
-        if shard is not None:
-            try:
-                index, _, count = shard.partition("/")
-                if not 0 <= int(index) < int(count):
-                    raise ValueError(shard)
-            except ValueError:
-                print(
-                    f"repro serve: error: --shard-of must be K/N with "
-                    f"0 <= K < N, got {shard!r}",
-                    file=sys.stderr,
-                )
-                return 2
         config = ServiceConfig(
             host=args.host,
             port=args.port,
@@ -999,41 +921,8 @@ def _dispatch(args) -> int:
             announce=True,
             trace_out=args.trace_out,
             trace_jsonl=args.trace_jsonl,
-            shard=shard,
         )
         return serve_forever(config, metrics_out=args.metrics_out)
-
-    if args.command == "cluster":
-        from .service.cluster import ClusterConfig
-        from .service.cluster.launcher import launch_cluster
-
-        if args.shards and args.shard_addr:
-            print(
-                "repro cluster: error: --shards and --shard-addr are "
-                "mutually exclusive",
-                file=sys.stderr,
-            )
-            return 2
-        config = ClusterConfig(
-            host=args.host,
-            port=args.port,
-            shards=tuple(args.shard_addr),
-            max_pending=args.max_pending,
-            request_timeout_s=args.timeout,
-            announce=True,
-        )
-        return launch_cluster(
-            config,
-            spawn=args.shards,
-            shard_jobs=args.shard_jobs,
-            shard_executor=args.shard_executor,
-            cache_dir=args.cache_dir,
-            shard_port_base=args.shard_port_base,
-            wait_secs=args.wait_secs,
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-            trace_jsonl=args.trace_jsonl,
-        )
 
     if args.command == "loadgen":
         from .service.client import wait_until_healthy

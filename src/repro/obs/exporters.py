@@ -1,5 +1,4 @@
-"""Span exporters: Chrome trace-event JSON (Perfetto-loadable) and
-plain JSONL.
+"""Span exporter: Chrome trace-event JSON (Perfetto-loadable).
 
 The Chrome format is the ``chrome://tracing`` / Perfetto "JSON trace
 event" flavour: complete events (``"ph": "X"``) with microsecond
@@ -47,33 +46,3 @@ def write_chrome_trace(path: str, spans: Iterable[Span]) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(chrome_trace_events(spans), handle, indent=2)
         handle.write("\n")
-
-
-def read_jsonl(path: str) -> List[Span]:
-    """Load spans from a JSONL sink (e.g. a shard's ``--trace-jsonl``
-    file) so multi-process traces can merge into one document.
-    Malformed lines are skipped — a shard killed mid-write must not
-    sink the whole merge."""
-    spans: List[Span] = []
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    spans.append(Span.from_dict(json.loads(line)))
-                except (ValueError, KeyError, TypeError):
-                    continue
-    except OSError:
-        return []
-    return spans
-
-
-def write_jsonl(path: str, spans: Iterable[Span]) -> None:
-    directory = os.path.dirname(path)
-    if directory:
-        os.makedirs(directory, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as handle:
-        for span in spans:
-            handle.write(json.dumps(span.to_dict(), sort_keys=True) + "\n")

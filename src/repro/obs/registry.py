@@ -5,8 +5,8 @@ exposition (stdlib only).
 gauges and histograms of a run; this module supplies its aggregate,
 **histograms** with fixed upper-bound buckets, used for service request
 latencies and engine stage durations.  Buckets are fixed at creation so
-merging snapshots and rendering cumulative Prometheus ``_bucket``
-series is exact, never interpolated.
+the cumulative Prometheus ``_bucket`` series are exact, never
+interpolated.
 
 :func:`render_prometheus` turns a ``RunMetrics.to_dict()`` snapshot
 into Prometheus text exposition format v0.0.4 — the format served by
@@ -108,14 +108,6 @@ class Histogram:
         histogram.count = int(data.get("count", 0))
         return histogram
 
-    def merge(self, other: "Histogram") -> None:
-        if other.bounds != self.bounds:
-            raise ValueError("cannot merge histograms with different bounds")
-        for index, bucket in enumerate(other.bucket_counts):
-            self.bucket_counts[index] += bucket
-        self.total += other.total
-        self.count += other.count
-
 
 # -- Prometheus text exposition v0.0.4 ------------------------------------
 
@@ -143,11 +135,11 @@ def _escape_label_value(value: str) -> str:
 def labeled_name(name: str, **labels: object) -> str:
     """A metric name carrying Prometheus-style labels.
 
-    The cluster coordinator counts per-shard events under names like
-    ``cluster_shard_requests{shard="0"}``; in the JSON metrics payload
-    the label block is simply part of the counter key (additive for
+    The tuner observes its batch sizes per search strategy under
+    ``tuner_batch_candidates{strategy="..."}``; in the JSON metrics
+    payload the label block is simply part of the key (additive for
     schema-3 readers), while :func:`render_prometheus` splits it back
-    out so the exposition carries a real ``shard`` label.
+    out so the exposition carries a real ``strategy`` label.
     """
     inner = ",".join(
         f'{key}="{_escape_label_value(str(value))}"'
@@ -162,24 +154,6 @@ def _split_labels(name: str) -> Tuple[str, str]:
         base, _, labels = name.partition("{")
         return base, "{" + labels
     return name, ""
-
-
-def merge_labels(name: str, **labels: object) -> str:
-    """Add labels to a metric name that may already carry some.
-
-    The cluster metrics rollup stamps every per-shard series with a
-    ``shard`` label; a name like ``cluster_shard_requests{shard="0"}``
-    must gain further labels *inside* the existing block, not grow a
-    second one.
-    """
-    base, existing = _split_labels(name)
-    inner = existing[1:-1] if existing else ""
-    extra = ",".join(
-        f'{key}="{_escape_label_value(str(value))}"'
-        for key, value in sorted(labels.items())
-    )
-    combined = ",".join(part for part in (inner, extra) if part)
-    return f"{base}{{{combined}}}" if combined else base
 
 
 def _escape_help(value: str) -> str:
@@ -256,8 +230,8 @@ def render_prometheus(
             seen_histogram_bases.add(base)
             lines.append(f"# HELP {metric} {_escape_help(base)} histogram")
             lines.append(f"# TYPE {metric} histogram")
-        # Fold ``le`` into any existing label block so shard-labeled
-        # bucket series stay one well-formed label set.
+        # Fold ``le`` into any existing label block so labeled bucket
+        # series stay one well-formed label set.
         inner = labels[1:-1] if labels else ""
 
         def _bucket_labels(le_text: str) -> str:

@@ -10,14 +10,17 @@ call sites cost nothing measurable in production paths.
 
 Parenting is carried in a :mod:`contextvars` variable, so nesting
 follows the logical flow — across ``await`` points and asyncio tasks —
-rather than the call stack.  Two helpers move a trace across executor
-boundaries, where context does not propagate by itself:
+rather than the call stack.  Where context does not propagate by
+itself, a trace moves as a small ``{"trace_id", "span_id", "pid"}``
+carrier from :meth:`Tracer.current_carrier`:
 
+* :meth:`Tracer.attach` parents spans under a carrier that crossed a
+  queue (the service batcher runs each job under its submitter's
+  carrier, so a job joins its request's trace);
 * :meth:`Tracer.wrap` captures the submitting context and replays it
   in a pool thread (same-process propagation);
-* :meth:`Tracer.current_carrier` / :func:`traced_call` ship a small
-  ``{"trace_id", "span_id"}`` carrier into a worker *process*, record
-  spans there, and return them alongside the result for the parent to
+* :func:`traced_call` takes a carrier into a worker *process*, records
+  spans there, and returns them alongside the result for the parent to
   :meth:`Tracer.ingest`.
 
 Span identifiers are deterministic per process (``pid.sequence``), so
@@ -295,34 +298,6 @@ class Tracer:
 
 #: The process-wide tracer every instrumented module shares.
 TRACER = Tracer()
-
-#: HTTP header carrying the span context across service hops
-#: (coordinator → shard).  Lower-case to match the servers' parsed
-#: header dicts.
-TRACE_HEADER = "x-repro-trace"
-
-
-def carrier_to_header(carrier: Dict[str, Any]) -> str:
-    """Serialise a :meth:`Tracer.current_carrier` dict for HTTP."""
-    return json.dumps(carrier, sort_keys=True, separators=(",", ":"))
-
-
-def carrier_from_header(value: Optional[str]) -> Optional[Dict[str, Any]]:
-    """Parse an ``X-Repro-Trace`` header; ``None`` on anything
-    malformed (a bad trace header must never fail a request)."""
-    if not value:
-        return None
-    try:
-        carrier = json.loads(value)
-    except ValueError:
-        return None
-    if (
-        not isinstance(carrier, dict)
-        or not isinstance(carrier.get("trace_id"), str)
-        or not isinstance(carrier.get("span_id"), str)
-    ):
-        return None
-    return carrier
 
 
 def traced_call(

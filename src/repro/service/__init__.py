@@ -19,25 +19,18 @@ The package layers, bottom up:
 * :mod:`repro.service.server` — the service itself: routing, bounded
   memo of results and repeated bodies' reply bytes +
   :class:`repro.engine.cache.DiskCache` reuse, metrics, graceful drain;
-* :mod:`repro.service.client` — the one HTTP client: a keep-alive
-  connection pool, an async client with the one retry loop, and a thin
+* :mod:`repro.service.client` — the one HTTP client: an async client
+  on one keep-alive connection with the one retry loop, and a thin
   sync wrapper;
 * :mod:`repro.service.loadgen` — the load-generator benchmark behind
-  ``repro loadgen``, against one server or a cluster coordinator;
-* :mod:`repro.service.cluster` — the scale-out tier: a stateless
-  coordinator routing raw request bodies over N shard servers on a
-  consistent hash ring (``repro cluster``).
+  ``repro loadgen``.
 """
 
 from .client import AsyncServiceClient, ServiceClient, ServiceError
-from .cluster import ClusterConfig, ClusterCoordinator, ConsistentHashRing
 from .server import ServiceConfig, ServiceServer
 
 __all__ = [
     "AsyncServiceClient",
-    "ClusterConfig",
-    "ClusterCoordinator",
-    "ConsistentHashRing",
     "ServiceClient",
     "ServiceConfig",
     "ServiceError",

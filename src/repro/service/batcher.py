@@ -18,6 +18,11 @@ waiters are free).  Beyond the bound, :class:`Overloaded` maps to HTTP
 unboundedly.  Per-request timeouts wrap the shared future in
 ``asyncio.shield``: one slow client's deadline never cancels the
 computation other waiters (or the result memo) still want.
+
+Each job queues with its submitter's trace carrier, and runs under it:
+the dispatcher's own context holds no span, so without the carrier a
+traced job would start a trace of its own instead of joining its
+request's.
 """
 
 from __future__ import annotations
@@ -25,7 +30,11 @@ from __future__ import annotations
 import asyncio
 from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 
+from ..obs.tracer import TRACER
 from .protocol import Overloaded, RequestTimeout, ServiceJob
+
+#: A queued job: the job, its shared future, the submitter's carrier.
+_Item = Tuple[ServiceJob, asyncio.Future, Optional[Dict[str, Any]]]
 
 
 class JobBatcher:
@@ -46,9 +55,7 @@ class JobBatcher:
         self.linger_s = linger_s
         self.metrics = metrics
         self._inflight: Dict[str, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._queue: "asyncio.Queue[Optional[Tuple[ServiceJob, asyncio.Future]]]" = (
-            asyncio.Queue()
-        )
+        self._queue: "asyncio.Queue[Optional[_Item]]" = asyncio.Queue()
         self._running: set = set()
         self._dispatcher: Optional[asyncio.Task] = None
         self._draining = False
@@ -122,7 +129,9 @@ class JobBatcher:
             future = asyncio.get_running_loop().create_future()
             self._inflight[job.fingerprint] = future
             self._count("jobs_admitted")
-            await self._queue.put((job, future))
+            await self._queue.put(
+                (job, future, TRACER.current_carrier())
+            )
         try:
             if timeout is None:
                 return await asyncio.shield(future)
@@ -174,18 +183,22 @@ class JobBatcher:
                 self.metrics.gauge(
                     "last_batch_size", float(len(batch))
                 )
-            for job, future in batch:
+            for job, future, carrier in batch:
                 task = asyncio.get_running_loop().create_task(
-                    self._run(job, future)
+                    self._run(job, future, carrier)
                 )
                 self._running.add(task)
                 task.add_done_callback(self._running.discard)
 
     async def _run(
-        self, job: ServiceJob, future: "asyncio.Future[Dict[str, Any]]"
+        self,
+        job: ServiceJob,
+        future: "asyncio.Future[Dict[str, Any]]",
+        carrier: Optional[Dict[str, Any]],
     ) -> None:
         try:
-            result = await self._execute(job)
+            with TRACER.attach(carrier):
+                result = await self._execute(job)
         except BaseException as error:  # noqa: BLE001 - forwarded to waiters
             if not future.done():
                 future.set_exception(error)

@@ -6,17 +6,16 @@ The layers, bottom up:
 * :class:`HttpConnection` — one keep-alive HTTP/1.1 connection on
   asyncio streams, raw bytes in and out (``Content-Length`` framing
   only, mirroring :mod:`repro.service.httpd`);
-* :class:`ConnectionPool` — a bounded set of those connections to one
-  server, reused across requests.  A keep-alive connection can go
-  stale between requests (the server restarted or closed it idle), so
-  a *reused* connection failing on first use is retried once on a
-  fresh socket; only a fresh connection's failure propagates.  The
-  cluster coordinator forwards through one pool per shard, bytes
-  verbatim;
-* :class:`AsyncServiceClient` — JSON requests over a one-connection
-  pool, and :meth:`~AsyncServiceClient.request_with_retries`, the one
-  retry loop; what :mod:`repro.service.loadgen` drives hundreds of
-  concurrent requests through;
+* :class:`AsyncServiceClient` — JSON requests over one such
+  connection, one exchange at a time, and
+  :meth:`~AsyncServiceClient.request_with_retries`, the one retry loop;
+  :mod:`repro.service.loadgen` drives one client per concurrent
+  connection.  A keep-alive connection can go stale between requests
+  (the server restarted or closed it idle), so a *reused* connection
+  failing on first use is retried once on a fresh socket; only a fresh
+  connection's failure propagates.  An exchange that fails, times out
+  or is cancelled closes its connection, so a late reply never answers
+  the next request;
 * :class:`ServiceClient` — a thin synchronous wrapper for scripts and
   tests: each call runs the async core on its own event loop, over
   one connection per call.
@@ -28,13 +27,13 @@ to back off (429); the ``request_raw`` and ``request_with_retries``
 variants return the status instead of raising, which is how the load
 generator counts expected failures.
 
-With ``retries`` > 0, the retry loop retries shed load (429) and
-drain/failover blips (503, connection errors) with capped exponential
-backoff.  The server's ``Retry-After`` is honoured when present;
-otherwise the delay is ``base * 2**attempt`` (capped) with jitter drawn
-from the client's own **seeded** ``random.Random`` — never the
-module-level ``random`` state — so loadgen plans and test runs stay
-reproducible end to end.
+With ``retries`` > 0, the retry loop retries shed load (429), a
+draining server or a lost worker (503), and connection errors with
+capped exponential backoff.  The server's ``Retry-After`` is honoured
+when present; otherwise the delay is ``base * 2**attempt`` (capped)
+with jitter drawn from the client's own **seeded** ``random.Random`` —
+never the module-level ``random`` state — so loadgen plans and test
+runs stay reproducible end to end.
 """
 
 from __future__ import annotations
@@ -43,8 +42,7 @@ import asyncio
 import json
 import random
 import time
-from collections import deque
-from typing import Any, Awaitable, Deque, Dict, Optional, Tuple, TypeVar
+from typing import Any, Awaitable, Dict, Optional, Tuple, TypeVar
 
 from ..sim.schemes import Scheme
 from .protocol import scheme_to_json
@@ -113,30 +111,17 @@ class HttpConnection:
         self._reader = self._writer = None
 
     async def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        headers: Optional[Dict[str, str]] = None,
+        self, method: str, path: str, body: bytes = b""
     ) -> RawResponse:
         """One exchange.  Every transport or framing failure raises
-        ``ConnectionError`` (an ``OSError``), which the pool maps to its
-        stale-connection retry.
-
-        ``headers`` adds extra request headers (e.g. the trace-context
-        carrier); names/values must be latin-1-encodable.
-        """
+        ``ConnectionError`` (an ``OSError``), which the client maps to
+        its stale-connection retry."""
         assert self._reader is not None and self._writer is not None
-        extra = "".join(
-            f"{name}: {value}\r\n"
-            for name, value in (headers or {}).items()
-        )
         head = (
             f"{method} {path} HTTP/1.1\r\n"
             f"Host: {self.host}:{self.port}\r\n"
             "Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"{extra}"
             "\r\n"
         ).encode("latin-1")
         self._writer.write(head + body)
@@ -166,102 +151,6 @@ class HttpConnection:
         if response_headers.get("connection", "").lower() == "close":
             self.close()
         return status, response_headers, payload
-
-
-class ConnectionPool:
-    """Bounded pool of keep-alive connections to one server."""
-
-    def __init__(
-        self,
-        host: str,
-        port: int,
-        *,
-        max_connections: int = 32,
-        connect_timeout_s: float = 5.0,
-    ) -> None:
-        if max_connections < 1:
-            raise ValueError("max_connections must be at least 1")
-        self.host = host
-        self.port = port
-        self.connect_timeout_s = connect_timeout_s
-        self._capacity = asyncio.Semaphore(max_connections)
-        self._idle: Deque[HttpConnection] = deque()
-
-    async def _fresh(self) -> HttpConnection:
-        connection = HttpConnection(self.host, self.port)
-        await connection.open(self.connect_timeout_s)
-        return connection
-
-    def _checkout_idle(self) -> Optional[HttpConnection]:
-        while self._idle:
-            connection = self._idle.popleft()
-            if not connection.closed:
-                return connection
-        return None
-
-    async def connect(self) -> None:
-        """Open one connection ahead of the first request, so connect
-        latency never lands inside a measured exchange."""
-        async with self._capacity:
-            connection = self._checkout_idle() or await self._fresh()
-            self._idle.append(connection)
-
-    async def request(
-        self,
-        method: str,
-        path: str,
-        body: bytes = b"",
-        timeout: Optional[float] = None,
-        headers: Optional[Dict[str, str]] = None,
-    ) -> RawResponse:
-        """One exchange on a pooled connection.
-
-        ``timeout`` bounds the exchange (the connection is torn down on
-        expiry so a half-read response never poisons the pool).
-        Transport errors on a reused connection retry once on a fresh
-        one; fresh-connection errors propagate.  ``headers`` pass
-        through to :meth:`HttpConnection.request`.
-        """
-        async with self._capacity:
-            connection = self._checkout_idle()
-            if connection is not None:
-                try:
-                    return await self._exchange(
-                        connection, method, path, body, timeout, headers
-                    )
-                except asyncio.TimeoutError:
-                    raise
-                except OSError:
-                    pass  # Stale keep-alive: one retry on a fresh socket.
-            return await self._exchange(
-                await self._fresh(), method, path, body, timeout, headers
-            )
-
-    async def _exchange(
-        self,
-        connection: HttpConnection,
-        method: str,
-        path: str,
-        body: bytes,
-        timeout: Optional[float],
-        headers: Optional[Dict[str, str]],
-    ) -> RawResponse:
-        """One exchange; the connection goes back to the idle set, or is
-        closed if the exchange failed, timed out or was cancelled."""
-        try:
-            response = await asyncio.wait_for(
-                connection.request(method, path, body, headers), timeout
-            )
-        except BaseException:
-            connection.close()
-            raise
-        if not connection.closed:
-            self._idle.append(connection)
-        return response
-
-    def close(self) -> None:
-        while self._idle:
-            self._idle.popleft().close()
 
 
 class ServiceError(Exception):
@@ -318,7 +207,7 @@ def _request_body(
 
 
 class AsyncServiceClient:
-    """JSON requests over one pooled keep-alive connection."""
+    """JSON requests over one keep-alive connection, one at a time."""
 
     def __init__(
         self,
@@ -331,23 +220,74 @@ class AsyncServiceClient:
         backoff_cap_s: float = 2.0,
         backoff_seed: int = 0,
     ) -> None:
+        self.host = host
+        self.port = port
         self.timeout = timeout
         self.retries = retries
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self._rng = random.Random(backoff_seed)
-        self._pool = ConnectionPool(
-            host, port, max_connections=1, connect_timeout_s=timeout
-        )
+        self._connection: Optional[HttpConnection] = None
+        self._lock = asyncio.Lock()
+
+    async def _fresh(self) -> HttpConnection:
+        self._connection = HttpConnection(self.host, self.port)
+        await self._connection.open(self.timeout)
+        return self._connection
 
     async def connect(self) -> None:
         """Open the keep-alive connection eagerly (loadgen pre-warms
         its connections so connect latency never lands inside a
         measured phase)."""
-        await self._pool.connect()
+        async with self._lock:
+            if self._connection is None or self._connection.closed:
+                await self._fresh()
 
     async def close(self) -> None:
-        self._pool.close()
+        if self._connection is not None:
+            self._connection.close()
+            self._connection = None
+
+    async def _request(
+        self, method: str, path: str, body: bytes
+    ) -> RawResponse:
+        """One exchange on the client's connection.
+
+        Transport errors on a reused connection retry once on a fresh
+        one; fresh-connection errors and timeouts propagate.
+        """
+        async with self._lock:
+            connection = self._connection
+            if connection is not None and not connection.closed:
+                try:
+                    return await self._exchange(
+                        connection, method, path, body
+                    )
+                except asyncio.TimeoutError:
+                    raise
+                except OSError:
+                    pass  # Stale keep-alive: one retry on a fresh socket.
+            return await self._exchange(
+                await self._fresh(), method, path, body
+            )
+
+    async def _exchange(
+        self,
+        connection: HttpConnection,
+        method: str,
+        path: str,
+        body: bytes,
+    ) -> RawResponse:
+        """One exchange, bounded by ``timeout``; the connection is
+        closed if it failed, timed out or was cancelled, so a half-read
+        reply never reaches the next request."""
+        try:
+            return await asyncio.wait_for(
+                connection.request(method, path, body), self.timeout
+            )
+        except BaseException:
+            connection.close()
+            raise
 
     async def request_raw(
         self, method: str, path: str, body: Optional[Dict[str, Any]] = None
@@ -356,9 +296,7 @@ class AsyncServiceClient:
         payload = (
             json.dumps(body).encode("utf-8") if body is not None else b""
         )
-        status, _, data = await self._pool.request(
-            method, path, payload, timeout=self.timeout
-        )
+        status, _, data = await self._request(method, path, payload)
         try:
             return status, json.loads(data.decode("utf-8"))
         except ValueError:
@@ -464,14 +402,8 @@ class ServiceClient:
     def healthz(self) -> Dict[str, Any]:
         return self._call("GET", "/healthz")
 
-    def cluster_healthz(self) -> Dict[str, Any]:
-        return self._call("GET", "/v1/cluster/healthz")
-
     def metrics(self) -> Dict[str, Any]:
         return self._call("GET", "/metrics")
-
-    def cluster_metrics(self) -> Dict[str, Any]:
-        return self._call("GET", "/v1/cluster/metrics")
 
     def allocate(
         self,

@@ -15,13 +15,11 @@ verifies that every unique successful response is byte-identical to
 the direct engine path (:func:`repro.service.pipeline.run_service_job`
 in this process).  Writes the whole payload to ``BENCH_service.json``.
 
-The target may be one ``repro serve`` or a ``repro cluster``
-coordinator; loadgen tells them apart by the ``role`` in ``/healthz``
-and, against a coordinator, reads the dedup counters from the exact
-cross-shard aggregate of ``/v1/cluster/metrics``.  Either way the run
-is ``ok`` only if the dedup hits reach the exact floor ``200 responses
-− distinct valid fingerprints in the plan``: every repeat of a
-fingerprint was served without recomputing it.
+The target is one ``repro serve``; the dedup counters are deltas of
+its ``/metrics``.  The run is ``ok`` only if the dedup hits reach the
+exact floor ``200 responses − distinct valid fingerprints in the
+plan``: every repeat of a fingerprint was served without recomputing
+it.
 
 Schema history: schema 2 added ``p95_ms``; schema 3 added the
 sharded-mode ``cluster`` / ``baseline`` / ``comparison`` sections and
@@ -30,8 +28,9 @@ re-fires against the warm server until a statistical stopping rule
 (:mod:`repro.bench`) says the throughput samples are stable — and
 added the shared ``"bench"`` section plus a ``phases.warm_runs`` list
 of per-run stats (``phases.warm`` is the merge over all warm runs);
-**schema 5** drops the schema-3 sharded-mode keys and adds ``role``
-(``server`` or ``coordinator``) and ``dedup.floor``.
+schema 5 dropped the schema-3 sharded-mode keys and added ``role`` and
+``dedup.floor``; **schema 6** drops ``role``, since one server is the
+only target.
 
 Each request runs under **one** ``loadgen.request`` span carrying
 ``status`` and ``retries`` attributes: the client-side 429/503 retry
@@ -58,7 +57,7 @@ from .client import AsyncServiceClient, ServiceClient
 from .pipeline import run_service_job
 from .protocol import ServiceJob, normalize_request
 
-BENCH_SCHEMA = 5
+BENCH_SCHEMA = 6
 
 DEFAULT_BENCHMARKS = ("vectoradd", "reduction", "matrixmul", "histogram")
 
@@ -95,7 +94,7 @@ _INVALID_BODIES = (
 )
 
 #: Response fields added by the serving tier, not the computation.
-_ENVELOPE_KEYS = ("fingerprint", "served_from", "shard")
+_ENVELOPE_KEYS = ("fingerprint", "served_from")
 
 
 def build_plan(
@@ -351,14 +350,6 @@ def _dedup_delta(before: Dict, after: Dict) -> Dict[str, int]:
     }
 
 
-def _dedup_snapshot(control: ServiceClient, role: str) -> Dict[str, Any]:
-    """A metrics snapshot carrying the dedup counters: the server's own
-    ``/metrics``, or a coordinator's exact cross-shard aggregate."""
-    if role == "coordinator":
-        return control.cluster_metrics()["aggregate"]
-    return control.metrics()
-
-
 def _dedup_payload(
     counters: Dict[str, int], ok_responses: int, distinct: int
 ) -> Dict[str, Any]:
@@ -366,9 +357,7 @@ def _dedup_payload(
 
     Each 200 is either the one computation of its fingerprint or a
     dedup hit, so ``hits >= ok_responses - distinct`` (``distinct``
-    valid fingerprints in the plan) holds on one server and on a
-    cluster alike, as long as routing keeps each fingerprint on one
-    shard.
+    valid fingerprints in the plan).
     """
     hits = sum(counters.values())
     return {
@@ -450,18 +439,12 @@ def run_loadgen(
 ) -> Dict[str, Any]:
     """Drive a running service and return the benchmark payload.
 
-    The target is one server or a cluster coordinator, told apart by
-    the ``role`` its ``/healthz`` reports; plan, checks and payload are
-    the same for both.
-
-    ``rule`` (default: a bootstrap-CI repeater, 2..6 runs, 5% target)
+    ``rule`` (default: a bootstrap-CI repeater, 3..6 runs, 5% target)
     governs how many times the warm phase re-fires the plan; pass an
     explicit rule to tighten or loosen the stability bar.
     """
     if rule is None:
-        rule = CiHalfWidthRule(
-            min_repeats=2, max_repeats=6, target=0.05, seed=0
-        )
+        rule = CiHalfWidthRule(max_repeats=6)
     if trace_out:
         TRACER.configure(enabled=True)
     plan = build_plan(requests, concurrency, benchmarks)
@@ -471,8 +454,7 @@ def run_loadgen(
         if spec["expect"] == 200
     }
     control = ServiceClient(host, port, timeout=timeout)
-    role = control.healthz().get("role", "server")
-    before = _dedup_snapshot(control, role)
+    before = control.metrics()
 
     (cold_results, cold_wall), warm_runs, warm_stop = asyncio.run(
         _run_phases(
@@ -487,7 +469,7 @@ def run_loadgen(
     )
 
     dedup = _dedup_payload(
-        _dedup_delta(before, _dedup_snapshot(control, role)),
+        _dedup_delta(before, control.metrics()),
         ok_responses,
         distinct=len({job.fingerprint for job in jobs.values()}),
     )
@@ -505,7 +487,6 @@ def run_loadgen(
     ]
     payload = {
         "schema": BENCH_SCHEMA,
-        "role": role,
         "requests": requests,
         "concurrency": concurrency,
         "phases": {
@@ -595,8 +576,7 @@ def format_loadgen(payload: Dict[str, Any]) -> str:
     lines = [
         "service loadgen "
         f"({payload['requests']} requests x2 phases, "
-        f"concurrency {payload['concurrency']}, "
-        f"{payload.get('role', 'server')})",
+        f"concurrency {payload['concurrency']})",
         f"{'phase':>6}{'reqs':>7}{'wall s':>9}{'req/s':>9}"
         f"{'p50 ms':>9}{'p95 ms':>9}{'p99 ms':>9}",
     ]

@@ -30,9 +30,8 @@ the key for in-flight dedup, the in-memory result memo, and the
 on-disk cache.
 
 A request also has a :func:`body_key`: SHA-256 of its op and raw body
-bytes, known before anything is decoded.  The cluster coordinator
-routes on it, and a server keys the stored bytes of a repeated body's
-reply on it.
+bytes, known before anything is decoded.  The server keys the stored
+bytes of a repeated body's reply on it.
 
 Errors map to HTTP statuses through the exception hierarchy rooted at
 :class:`ServiceFault`; handlers never leak tracebacks to clients.
@@ -331,7 +330,8 @@ def canonical_tune(body: Dict[str, Any]) -> Dict[str, Any]:
 
 
 def body_key(op: str, body: bytes) -> str:
-    """SHA-256 hex of ``op`` and the raw request ``body``.
+    """SHA-256 hex of ``op`` and the raw request ``body``: the key of a
+    repeated body's stored reply bytes in the server's result memo.
 
     Byte-identical requests share the key; two spellings of one job do
     not (their :class:`ServiceJob` fingerprints still match).

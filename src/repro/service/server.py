@@ -56,12 +56,7 @@ from ..engine.metrics import SCHEMA_VERSION, RunMetrics
 from ..memo import Memo
 from ..obs.exporters import write_chrome_trace
 from ..obs.registry import PROMETHEUS_CONTENT_TYPE
-from ..obs.tracer import (
-    TRACE_HEADER,
-    TRACER,
-    carrier_from_header,
-    traced_call,
-)
+from ..obs.tracer import TRACER, traced_call
 from .batcher import JobBatcher
 from .httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
 from .pipeline import RESULT_SCHEMA, _probe, run_service_job
@@ -108,10 +103,6 @@ class ServiceConfig:
     trace_out: Optional[str] = None
     #: Stream spans to this JSONL file as they finish.
     trace_jsonl: Optional[str] = None
-    #: Cluster identity (``"K/N"`` from ``--shard-of``); reported in
-    #: ``/healthz`` and stamped on job responses so the coordinator and
-    #: loadgen can attribute work per shard.  ``None`` = standalone.
-    shard: Optional[str] = None
 
     def validate(self) -> None:
         """Raise ``ValueError`` on a setting no server can run with."""
@@ -281,18 +272,12 @@ class ServiceServer:
     async def handle(self, request: HttpRequest) -> HttpResponse:
         started = time.perf_counter()
         path = request.target.split("?", 1)[0]
-        # A coordinator forward carries its span context in
-        # X-Repro-Trace; attaching it parents this shard's request
-        # span under the coordinator's forward span so the merged
-        # cluster trace nests end to end.
-        carrier = carrier_from_header(request.headers.get(TRACE_HEADER))
-        with TRACER.attach(carrier):
-            with TRACER.span(
-                "service.request", method=request.method, path=path
-            ) as span:
-                response = await self._route(request, path)
-                if span is not None:
-                    span.attributes["status"] = response.status
+        with TRACER.span(
+            "service.request", method=request.method, path=path
+        ) as span:
+            response = await self._route(request, path)
+            if span is not None:
+                span.attributes["status"] = response.status
         self.metrics.observe(
             "http_request_seconds", time.perf_counter() - started
         )
@@ -359,8 +344,6 @@ class ServiceServer:
         payload = dict(result)
         payload["fingerprint"] = job.fingerprint
         payload["served_from"] = served_from
-        if self.config.shard is not None:
-            payload["shard"] = self.config.shard
         response = json_response(200, payload)
         if served_from == "cache":
             # Its result was already known, so this body is worth a
@@ -438,7 +421,6 @@ class ServiceServer:
         return {
             "status": "draining" if self.draining else "ok",
             "version": __version__,
-            "shard": self.config.shard,
             "executor": self.executor_kind,
             "in_flight": batcher.pending if batcher else 0,
             "queue_depth": batcher.queue_depth if batcher else 0,

@@ -48,7 +48,7 @@ def test_histogram_validation():
         Histogram([2.0, 1.0])
 
 
-def test_histogram_round_trip_and_merge():
+def test_histogram_round_trip():
     first = Histogram([0.1, 1.0])
     first.observe(0.05)
     first.observe(5.0)
@@ -57,14 +57,6 @@ def test_histogram_round_trip_and_merge():
     assert restored.bucket_counts == first.bucket_counts
     assert restored.count == first.count
     assert restored.total == pytest.approx(first.total)
-
-    second = Histogram([0.1, 1.0])
-    second.observe(0.5)
-    first.merge(second)
-    assert first.bucket_counts == [1, 1, 1]
-    assert first.count == 3
-    with pytest.raises(ValueError):
-        first.merge(Histogram([0.2, 1.0]))
     with pytest.raises(ValueError):
         Histogram.from_dict({"bounds": [1.0], "bucket_counts": [1]})
 

@@ -1,26 +1,8 @@
-"""Label handling in the Prometheus renderer: ``merge_labels`` and
-shard-labelled histogram exposition (the cluster rollup's format)."""
+"""Labeled series in the Prometheus renderer: names built by
+``labeled_name`` (the tuner's per-strategy ``tuner_batch_candidates``
+histogram) keep one label block per series, with ``le`` folded in."""
 
-from repro.obs.registry import (
-    Histogram,
-    labeled_name,
-    merge_labels,
-    render_prometheus,
-)
-
-
-def test_merge_labels_folds_into_existing_block():
-    assert merge_labels("requests", shard="0") == 'requests{shard="0"}'
-    assert (
-        merge_labels('requests{op="allocate"}', shard="0")
-        == 'requests{op="allocate",shard="0"}'
-    )
-    assert merge_labels("requests") == "requests"
-    assert merge_labels(labeled_name("c", a="1"), b="2") == 'c{a="1",b="2"}'
-
-
-def test_merge_labels_escapes_values():
-    assert merge_labels("c", shard='x"y') == 'c{shard="x\\"y"}'
+from repro.obs.registry import Histogram, labeled_name, render_prometheus
 
 
 def test_labeled_histogram_renders_single_label_block():
@@ -29,37 +11,45 @@ def test_labeled_histogram_renders_single_label_block():
     histogram.observe(5.0)
     snapshot = {
         "histograms": {
-            merge_labels("lat_seconds", shard="1"): histogram.to_dict()
+            labeled_name("lat_seconds", strategy="random"): (
+                histogram.to_dict()
+            )
         }
     }
     text = render_prometheus(snapshot)
-    assert 'repro_lat_seconds_bucket{shard="1",le="0.1"} 1' in text
-    assert 'repro_lat_seconds_bucket{shard="1",le="1"} 1' in text
-    assert 'repro_lat_seconds_bucket{shard="1",le="+Inf"} 2' in text
-    assert 'repro_lat_seconds_sum{shard="1"}' in text
-    assert 'repro_lat_seconds_count{shard="1"} 2' in text
+    assert 'repro_lat_seconds_bucket{strategy="random",le="0.1"} 1' in text
+    assert 'repro_lat_seconds_bucket{strategy="random",le="1"} 1' in text
+    assert (
+        'repro_lat_seconds_bucket{strategy="random",le="+Inf"} 2' in text
+    )
+    assert 'repro_lat_seconds_sum{strategy="random"}' in text
+    assert 'repro_lat_seconds_count{strategy="random"} 2' in text
     # Exactly one label block per series — never `}{`.
     assert "}{" not in text
 
 
-def test_one_help_type_block_per_family_across_shards():
+def test_one_help_type_block_per_family_across_label_values():
     histogram = Histogram([0.5])
     histogram.observe(0.1)
     snapshot = {
         "counters": {
-            merge_labels("http_requests", shard="0"): 3,
-            merge_labels("http_requests", shard="1"): 4,
+            labeled_name("http_requests", strategy="random"): 3,
+            labeled_name("http_requests", strategy="hillclimb"): 4,
         },
         "histograms": {
-            merge_labels("lat_seconds", shard="0"): histogram.to_dict(),
-            merge_labels("lat_seconds", shard="1"): histogram.to_dict(),
+            labeled_name("lat_seconds", strategy="random"): (
+                histogram.to_dict()
+            ),
+            labeled_name("lat_seconds", strategy="hillclimb"): (
+                histogram.to_dict()
+            ),
         },
     }
     text = render_prometheus(snapshot)
     assert text.count("# TYPE repro_http_requests_total counter") == 1
     assert text.count("# TYPE repro_lat_seconds histogram") == 1
-    assert 'repro_http_requests_total{shard="0"} 3' in text
-    assert 'repro_http_requests_total{shard="1"} 4' in text
+    assert 'repro_http_requests_total{strategy="random"} 3' in text
+    assert 'repro_http_requests_total{strategy="hillclimb"} 4' in text
 
 
 def test_unlabeled_histogram_format_unchanged():

@@ -1,5 +1,4 @@
-"""Client retry/backoff behaviour (no sockets: the core's request_raw
-is stubbed).
+"""Client retry/backoff behaviour, and its one connection's rules.
 
 Both clients share one retry loop,
 :meth:`AsyncServiceClient.request_with_retries`; :class:`ServiceClient`
@@ -7,7 +6,10 @@ drives it through its ``core``.  The backoff contract: ``Retry-After``
 from the server wins (capped), otherwise capped exponential backoff
 with jitter from a *seeded* RNG — two clients built with the same seed
 sleep identical schedules, and nothing touches the module-level
-``random`` state.
+``random`` state.  Those tests stub the core's ``request_raw``; the
+last two drive an in-process ``AsyncHttpServer``: a reused keep-alive
+connection that went stale is retried once on a fresh socket, and an
+exchange that times out closes its connection.
 """
 
 import asyncio
@@ -21,6 +23,7 @@ from repro.service.client import (
     ServiceError,
     backoff_delay,
 )
+from repro.service.httpd import AsyncHttpServer, json_response
 
 
 def delays(seed: int, attempts: int, **kwargs):
@@ -194,3 +197,68 @@ def test_module_random_state_untouched():
     ServiceClient(retries=2, backoff_seed=9)
     AsyncServiceClient(retries=2, backoff_seed=9)
     assert random.random() == expected
+
+
+
+def run_against(handler, drive):
+    """Run ``await drive(server)`` against an ``AsyncHttpServer`` whose
+    requests go to ``handler``, on one event loop."""
+
+    async def main():
+        server = AsyncHttpServer(handler)
+        await server.start()
+        try:
+            return await drive(server)
+        finally:
+            await server.stop_accepting()
+            server.close_idle_connections()
+
+    return asyncio.run(main())
+
+
+async def echo_path(request):
+    return json_response(200, {"path": request.target})
+
+
+def test_stale_keep_alive_connection_is_retried_once_on_a_fresh_socket():
+    seen = []
+
+    async def handler(request):
+        seen.append(request.target)
+        return await echo_path(request)
+
+    async def drive(server):
+        client = AsyncServiceClient(port=server.port, timeout=5.0)
+        try:
+            first = await client.request_raw("GET", "/first")
+            # The server drops the kept-alive connection, unannounced.
+            server.close_idle_connections()
+            second = await client.request_raw("GET", "/second")
+        finally:
+            await client.close()
+        return first, second
+
+    first, second = run_against(handler, drive)
+    assert first == (200, {"path": "/first"})
+    assert second == (200, {"path": "/second"})
+    assert seen == ["/first", "/second"]
+
+
+def test_timed_out_exchange_closes_its_connection():
+    async def handler(request):
+        if request.target == "/slow":
+            await asyncio.sleep(0.3)
+        return await echo_path(request)
+
+    async def drive(server):
+        client = AsyncServiceClient(port=server.port, timeout=0.1)
+        try:
+            with pytest.raises(asyncio.TimeoutError):
+                await client.request_raw("GET", "/slow")
+            await asyncio.sleep(0.3)  # the late reply has been written
+            return await client.request_raw("GET", "/fast")
+        finally:
+            await client.close()
+
+    # Its own reply, not the late one a reused connection would read.
+    assert run_against(handler, drive) == (200, {"path": "/fast"})

@@ -1,12 +1,12 @@
-"""Loadgen's dedup floor: the check that routing keeps dedup.
+"""Loadgen's checks and its warm-phase stopping rule.
 
 Every 200 is either the single computation of its fingerprint or a
-dedup hit, so ``hits >= 200 responses - distinct valid fingerprints``
-holds on one server and on a cluster alike.  The floor is checked on
-synthetic counters, then end to end: the same small plan against an
-in-process 2-shard cluster and against one server must both pass and
-report the same dedup rate.  Last, ``repro bench diff`` must still read
-the committed report against a fresh schema-5 payload.
+dedup hit, so ``hits >= 200 responses - distinct valid fingerprints``.
+The floor is checked on synthetic counters, then end to end: a small
+verified plan against one server must pass with the hits exactly at
+the floor.  The default rule takes at least three warm runs.  Last,
+``repro bench diff`` must still read the committed report against a
+fresh schema-6 payload.
 """
 
 import json
@@ -14,6 +14,7 @@ from pathlib import Path
 
 from repro.bench import CiHalfWidthRule
 from repro.cli import main
+from repro.service import loadgen
 from repro.service.loadgen import (
     _dedup_delta,
     _dedup_payload,
@@ -21,12 +22,11 @@ from repro.service.loadgen import (
     write_loadgen,
 )
 
-from tests.service.test_cluster import running_cluster
 from tests.service.test_server import running_server
 
 COUNTERS = ("inflight_dedup_hits", "service_memo_hits", "service_disk_hits")
 
-#: The committed loadgen report, as ``repro loadgen`` writes it (schema 5).
+#: The committed loadgen report, as ``repro loadgen`` writes it (schema 6).
 COMMITTED_BENCH = Path(__file__).resolve().parents[2] / "BENCH_service.json"
 
 
@@ -56,8 +56,8 @@ def test_dedup_floor_on_synthetic_counters():
     assert dedup["total_hits"] == dedup["floor"] == 45
     assert dedup["rate"] == 0.75
 
-    # One fingerprint computed twice (say, split across two shards)
-    # leaves the hits one short of the floor.
+    # One fingerprint computed twice leaves the hits one short of the
+    # floor.
     short = _dedup_payload(
         dict(delta, service_memo_hits=39), ok_responses=60, distinct=15
     )
@@ -69,29 +69,40 @@ def test_dedup_floor_on_synthetic_counters():
     )["floor"] == 0
 
 
-def test_cluster_run_is_ok_with_single_server_dedup_rate():
-    options = small_run_options()
-    with running_cluster(num_shards=2) as (coordinator, _):
-        clustered = run_loadgen(port=coordinator.port, **options)
+def test_single_server_run_verifies_and_meets_dedup_floor():
     with running_server() as server:
-        single = run_loadgen(port=server.port, verify=False, **options)
+        payload = run_loadgen(port=server.port, **small_run_options())
 
-    assert clustered["role"] == "coordinator"
-    assert single["role"] == "server"
-    for payload in (clustered, single):
-        assert payload["ok"], payload
-        assert payload["dropped"] == payload["unexpected_statuses"] == 0
-        # Fresh servers compute each fingerprint exactly once.
-        assert payload["dedup"]["total_hits"] == payload["dedup"]["floor"]
-    assert clustered["verify"]["compared"] > 0
-    assert clustered["verify"]["mismatches"] == 0
-    assert clustered["dedup"]["rate"] == single["dedup"]["rate"]
-    assert clustered["schema"] == single["schema"] == 5
-    for key in ("shards", "cluster", "baseline", "comparison"):
-        assert key not in clustered
+    assert payload["ok"], payload
+    assert payload["dropped"] == payload["unexpected_statuses"] == 0
+    # A fresh server computes each fingerprint exactly once.
+    assert payload["dedup"]["total_hits"] == payload["dedup"]["floor"]
+    assert payload["verify"]["compared"] > 0
+    assert payload["verify"]["mismatches"] == 0
+    assert payload["schema"] == 6
+    assert "role" not in payload
 
 
-def test_bench_diff_reads_committed_report_against_schema_5(
+def test_default_rule_takes_three_warm_runs_of_equal_wall_time(
+    monkeypatch,
+):
+    async def same_wall(clients, plan):
+        return [
+            {"status": spec["expect"], "latency_s": 0.001, "payload": {}}
+            for spec in plan
+        ], 1.0
+
+    monkeypatch.setattr(loadgen, "_run_phase", same_wall)
+    with running_server() as server:
+        payload = run_loadgen(
+            port=server.port, requests=8, concurrency=2, verify=False
+        )
+    warm = payload["bench"]["metrics"]["warm_requests_per_s"]
+    assert len(payload["phases"]["warm_runs"]) == warm["repeats"] == 3
+    assert warm["stop_reason"] == "ci_half_width"
+
+
+def test_bench_diff_reads_committed_report_against_schema_6(
     tmp_path, capsys
 ):
     with running_server() as server:
@@ -99,7 +110,7 @@ def test_bench_diff_reads_committed_report_against_schema_5(
             port=server.port, verify=False, **small_run_options()
         )
     fresh = write_loadgen(str(tmp_path / "BENCH_service.json"), payload)
-    assert json.loads(Path(fresh).read_text())["schema"] == 5
+    assert json.loads(Path(fresh).read_text())["schema"] == 6
     code = main(["bench", "diff", str(COMMITTED_BENCH), fresh])
     assert code in (0, 1), capsys.readouterr()
     assert "dedup_rate" in capsys.readouterr().out

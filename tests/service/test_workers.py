@@ -3,8 +3,9 @@
 Unlike ``test_server.py``, whose servers run jobs on threads, these
 tests fork real pool workers: frames past the socket buffer, faults
 shipped back, a worker SIGKILLed idle and mid-job, replies
-byte-identical to the in-process pipeline, worker spans reaching the
-server, and a drain that leaves no child and no listener behind.
+byte-identical to the in-process pipeline, worker spans joining their
+request's trace, and a drain that leaves no child and no listener
+behind.
 """
 
 import asyncio
@@ -137,21 +138,32 @@ def test_process_pool_replies_match_the_pipeline_then_drain_clean():
             )
 
         # Traced, a job's worker spans come back under the server's
-        # execute span, and the reply stays the same.
+        # execute span, and the reply bytes stay the same.
         TRACER.configure(enabled=True)
         op, body = "evaluate", {"benchmark": "reduction", "scheme": SW_JSON}
-        status, _, reply = post(port, op, body)
         job = normalize_request(op, body)
-        assert status == 200
-        assert json.loads(reply)["record"] == (
-            run_service_job(job.payload)["record"]
+        want = dict(run_service_job(job.payload),
+                    fingerprint=job.fingerprint, served_from="computed")
+        assert post(port, op, body)[::2] == (
+            200, json_response(200, want).body
         )
         spans = TRACER.spans
+        (request,) = [s for s in spans if s.name == "service.request"]
         (execute,) = [s for s in spans if s.name == "service.execute"]
         (worker,) = [s for s in spans if s.name == "run_service_job"]
         assert worker.pid in pids and execute.pid == os.getpid()
         assert worker.parent_id == execute.span_id
         assert worker.trace_id == execute.trace_id
+        # The job joins its request's trace across the batcher's queue.
+        by_id = {s.span_id: s for s in spans}
+        ancestors = [execute]
+        while ancestors[-1].parent_id is not None:
+            ancestors.append(by_id[ancestors[-1].parent_id])
+        assert [s.name for s in ancestors] == [
+            "service.execute", "stage.execute", "service.request"
+        ]
+        assert ancestors[-1] is request
+        assert execute.trace_id == request.trace_id
         assert counters(server).get("worker_lost", 0) == 0
 
     for pid in pids:
