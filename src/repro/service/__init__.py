@@ -14,8 +14,9 @@ The package layers, bottom up:
 * :mod:`repro.service.batcher` — micro-batching dispatcher with
   in-flight deduplication, bounded admission (backpressure), and
   per-request timeouts;
-* :mod:`repro.service.httpd` — a hand-rolled HTTP/1.1 server on
-  asyncio streams (stdlib only, no ``http.server``);
+* :mod:`repro.service.httpd` — a hand-rolled HTTP/1.1 server, one
+  ``asyncio.Protocol`` per connection (stdlib only, no
+  ``http.server``);
 * :mod:`repro.service.server` — the service itself: routing, bounded
   memo of results and repeated bodies' reply bytes +
   :class:`repro.engine.cache.DiskCache` reuse, metrics, graceful drain;

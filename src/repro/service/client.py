@@ -47,7 +47,7 @@ from typing import Any, Awaitable, Dict, Optional, Tuple, TypeVar
 from ..sim.schemes import Scheme
 from .protocol import scheme_to_json
 
-#: Matches the server's stream read limit.
+#: Matches the server's bound on one head line (``httpd._READ_LIMIT``).
 _READ_LIMIT = 64 * 1024
 
 #: Statuses worth retrying: shed load and not-yet/no-longer-available.

@@ -585,6 +585,33 @@ def test_stalled_client_is_disconnected_and_counted(
         assert client_for(server).healthz()["status"] == "ok"
 
 
+def test_client_silent_after_a_late_first_request_is_disconnected(
+    short_read_timeouts
+):
+    # The request lands 0.6 s into the first 1 s idle window, so the
+    # timer set at connect fires before the idle deadline that follows
+    # the reply and must re-arm itself for it.
+    with running_server() as server:
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            began = time.monotonic()
+            time.sleep(0.6)
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\n")
+            sock.settimeout(5.0)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+            # Closed one idle timeout after the reply, not at the first
+            # timer (1 s) and not never.
+            assert 1.5 <= time.monotonic() - began < 3.5
+            assert reply.startswith(b"HTTP/1.1 200 ")
+            assert reply.count(b"HTTP/1.1 ") == 1
+        deadline = time.monotonic() + 5.0
+        while read_timeouts(server) < 1:
+            assert time.monotonic() < deadline, "timeout not counted"
+            time.sleep(0.01)
+        assert read_timeouts(server) == 1
+
+
 def test_keep_alive_pause_below_idle_timeout_is_kept(short_read_timeouts):
     # Three pauses of 0.4 s outlast one idle timeout together, not
     # singly: the idle clock restarts with every request.
@@ -605,6 +632,39 @@ def test_keep_alive_pause_below_idle_timeout_is_kept(short_read_timeouts):
         finally:
             connection.close()
         assert read_timeouts(server) == 0
+
+
+def test_framing_errors_get_typed_replies_and_are_counted():
+    big = ServiceConfig().max_body_bytes + 1
+    cases = [
+        (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: x\r\n\r\n", 400),
+        (b"POST /v1/evaluate HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % big,
+         413),
+        (b"GET /" + b"a" * 70_000 + b" HTTP/1.1\r\n\r\n", 414),
+        (b"GET /healthz HTTP/1.1\r\n"
+         + b"".join(b"X-H%d: v\r\n" % n for n in range(101)) + b"\r\n", 431),
+        (b"POST /v1/evaluate HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+         b"2\r\n{}\r\n0\r\n\r\n", 501),
+    ]
+    with running_server() as server:
+        for request, status in cases:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                sock.sendall(request)
+                reply = b""
+                try:
+                    while chunk := sock.recv(65536):
+                        reply += chunk
+                except ConnectionResetError:
+                    pass
+            assert reply.startswith(b"HTTP/1.1 %d " % status), reply[:40]
+            assert reply.count(b"HTTP/1.1 ") == 1
+            assert b'"type": "protocol_error"' in reply
+        counters = server.metrics.to_dict()["counters"]
+        assert counters["http_protocol_errors"] == len(cases)
+        assert counters.get("http_requests", 0) == 0
+        assert client_for(server).healthz()["status"] == "ok"
 
 
 # -- bounded connections -------------------------------------------------------
@@ -643,7 +703,7 @@ def test_connection_past_the_cap_gets_503_and_is_counted(monkeypatch):
         assert held[0].getresponse().status == 200
         held[1].close()
         deadline = time.monotonic() + 5.0
-        while len(server._http._writers) > 1:
+        while server._http.open_connections > 1:
             assert time.monotonic() < deadline, "closed slot never freed"
             time.sleep(0.01)
         assert client_for(server).healthz()["status"] == "ok"
