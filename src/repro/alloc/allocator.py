@@ -15,7 +15,10 @@ Steps 1–2 are scheme-independent and factored into
 :mod:`repro.alloc.analysis` (:class:`KernelAnalysis`, cached by kernel
 content fingerprint); steps 3–4 are the per-config *levels pass*.
 ``allocate_kernels_batch`` exploits the split: one analysis, one levels
-pass per configuration — the workhorse of multi-config sweeps.
+pass per configuration — the workhorse of multi-config sweeps.  Step 3
+decides each strand from that strand's values and a few config fields
+and energies, so a batch runs each distinct strand pass once and
+annotates one kernel per distinct placement.
 
 The allocator never changes program semantics: it only decides where
 each value lives.  Any value whose location would be ambiguous at a
@@ -28,7 +31,18 @@ from __future__ import annotations
 import dataclasses
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Container,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..energy.model import EnergyModel
 from ..ir.instructions import DestAnnotation, SourceAnnotation
@@ -305,37 +319,96 @@ def allocate_kernels_batch(
 ) -> List[AllocationResult]:
     """Allocate one kernel under many configs, sharing the analysis.
 
-    Semantically ``[allocate_kernel(kernel.clone(), c) for c in
-    configs]`` — each config annotates its own pristine clone — but the
-    scheme-independent phase runs once per distinct
-    ``assume_persistent_strands`` flavour instead of once per config.
-    ``model`` (optional) applies to every config; ``recorders``, when
-    given, is parallel to ``configs`` and attaches per-config
-    provenance without touching the shared analysis.
+    Equal to ``[allocate_kernel(kernel.clone(), c) for c in configs]``
+    in every annotation and assignment, but the scheme-independent
+    phase runs once per distinct ``assume_persistent_strands`` flavour
+    instead of once per config.  ``model`` (optional) applies to every
+    config; ``recorders``, when given, is parallel to ``configs`` and
+    attaches per-config provenance without touching the shared
+    analysis.
+
+    A batch of two or more configs also shares the levels pass (see
+    :func:`_shared_levels_pass`): results whose placements annotate
+    the kernel identically hold one annotated clone, so a result's
+    kernel is read-only and may be another result's too.  A batch of
+    one, and each config with a recorder, annotates its own pristine
+    clone.
     """
     if recorders is not None and len(recorders) != len(configs):
         raise ValueError("recorders must parallel configs")
     results: List[AllocationResult] = []
     analyses: Dict[bool, KernelAnalysis] = {}
+    # The batch's shared passes and kernels; dropped on return.
+    shared: Optional[Dict[Any, Any]] = {} if len(configs) > 1 else None
     with TRACER.span(
         "alloc.levels_batch", kernel=kernel.name, configs=len(configs)
-    ):
+    ) as span:
         for index, config in enumerate(configs):
             flag = config.assume_persistent_strands
             analysis = analyses.get(flag)
             if analysis is None:
                 analysis = kernel_analysis(kernel, flag)
+                if shared is not None:
+                    shared["flavour", flag] = _equivalent_flavour(
+                        analysis, analyses
+                    )
                 analyses[flag] = analysis
-            results.append(
-                allocate_kernel(
+            recorder = recorders[index] if recorders else None
+            if shared is None or recorder is not None:
+                result = allocate_kernel(
                     kernel.clone(),
                     config,
                     model=model,
-                    recorder=recorders[index] if recorders else None,
+                    recorder=recorder,
                     analysis=analysis,
                 )
-            )
+            else:
+                result = _levels_pass(
+                    kernel, analysis, config, model, None, shared
+                )
+            results.append(result)
+        if span is not None:
+            span.attributes.update(_sharing_counts(results, shared))
     return results
+
+
+def _equivalent_flavour(
+    analysis: KernelAnalysis, analyses: Dict[bool, KernelAnalysis]
+) -> bool:
+    """The flavour whose annotated kernels ``analysis``'s configs share:
+    that of an earlier analysis of the batch, ``analyses``, if any.
+
+    Where the persistence idealisation cuts no strand, both flavours
+    partition the kernel alike and build equal strand values; their
+    placements then annotate equal kernels, so they key kernels by the
+    flavour first seen.
+    """
+    for flag, other in analyses.items():
+        if (
+            other.partition.ends_strand_positions
+            == analysis.partition.ends_strand_positions
+            and other.strand_values == analysis.strand_values
+        ):
+            return flag
+    return analysis.assume_persistent
+
+
+def _sharing_counts(
+    results: Sequence[AllocationResult], shared: Optional[Dict[Any, Any]]
+) -> Dict[str, int]:
+    """What a batch shared, for its ``alloc.levels_batch`` span: strand
+    passes run, strand passes looked up from an earlier config, and
+    distinct annotated kernels."""
+    passes = sum(
+        len(result.strand_values) * (2 if result.config.use_lrf else 1)
+        for result in results
+    )
+    looked_up = shared.get("looked_up", 0) if shared else 0
+    return {
+        "strand_passes_run": passes - looked_up,
+        "strand_passes_looked_up": looked_up,
+        "annotated_kernels": len({id(result.kernel) for result in results}),
+    }
 
 
 def _levels_pass(
@@ -344,6 +417,7 @@ def _levels_pass(
     config: AllocationConfig,
     model: Optional[EnergyModel],
     recorder: Optional[ProvenanceRecorder],
+    shared: Optional[Dict[Any, Any]] = None,
 ) -> AllocationResult:
     """The per-config phase: stamp strand bits, place values, annotate.
 
@@ -353,7 +427,15 @@ def _levels_pass(
     all configs built from them.  One stamp sets every instruction's
     strand bit and shared single-level annotations; placing a value
     then replaces only the annotations it changes.
+
+    With ``shared`` (the state of one :func:`allocate_kernels_batch`
+    call), ``kernel`` is the batch's own kernel and stays untouched:
+    see :func:`_shared_levels_pass`.
     """
+    if shared is not None:
+        return _shared_levels_pass(
+            kernel, analysis, config, model or config.energy_model(), shared
+        )
     kernel.stamp_baseline(analysis.partition.ends_strand_positions)
     if model is None:
         model = config.energy_model()
@@ -367,6 +449,201 @@ def _levels_pass(
                 kernel, values, config, model, result, recorder
             )
     return result
+
+
+class _StrandPass(NamedTuple):
+    """One strand's LRF or ORF pass, as every config of a batch whose
+    pass inputs match sees it."""
+
+    webs: Tuple[WebAssignment, ...]
+    reads: Tuple[ReadOperandAssignment, ...]
+    #: Ids of the webs placed (all the ORF pass reads of an LRF pass).
+    taken: FrozenSet[int]
+    #: What the placements write into the kernel (see
+    #: :func:`_placement_writes`).
+    writes: FrozenSet[Tuple[int, ...]]
+
+
+def _shared_levels_pass(
+    kernel: Kernel,
+    analysis: KernelAnalysis,
+    config: AllocationConfig,
+    model: EnergyModel,
+    shared: Dict[Any, Any],
+) -> AllocationResult:
+    """The levels pass of one config of a batch that shares work.
+
+    No pass decision reads annotations: a strand's LRF pass reads the
+    strand's values, the LRF split and banks, the forward-branch scope
+    and the MRF and LRF energies; its ORF pass reads the ORF size, the
+    three optimisation toggles, the MRF and ORF energies, and which
+    webs the LRF took.  So each distinct pass runs once per batch,
+    placing without annotating, and every later config with the same
+    inputs looks it up in ``shared``.  Configs whose placements write
+    the same annotations then share one clone of ``kernel``, stamped
+    and annotated once; each result still gets its own config and
+    assignment lists.
+    """
+    flag = analysis.assume_persistent
+    # Equal models become one, whose operand-energy memo then serves
+    # the whole batch.
+    entry = shared.get(("model", model))
+    if entry is None:
+        entry = shared["model", model] = (model, _pass_energies(model))
+    model, (lrf_energies, orf_energies) = entry
+    lrf_table = None
+    if config.use_lrf:
+        lrf_inputs = (
+            "lrf",
+            flag,
+            config.split_lrf,
+            config.lrf_banks if config.split_lrf else 1,
+            config.allow_forward_branches,
+            lrf_energies,
+        )
+        lrf_table = shared.get(lrf_inputs)
+        if lrf_table is None:
+            lrf_table = shared[lrf_inputs] = {}
+    orf_inputs = (
+        "orf",
+        flag,
+        config.orf_entries,
+        config.enable_partial_ranges,
+        config.enable_read_operands,
+        config.allow_forward_branches,
+        orf_energies,
+    )
+    orf_table = shared.get(orf_inputs)
+    if orf_table is None:
+        orf_table = shared[orf_inputs] = {}
+    # Collects each pass's placements (the kernel is never touched).
+    sink = AllocationResult(
+        kernel, config, analysis.partition, analysis.strand_values
+    )
+
+    # Equal keys annotate equal kernels: same strand bits, and per
+    # strand the same LRF and ORF writes (a config without an LRF pass
+    # writes what an LRF pass that placed nothing writes).
+    kernel_key: List[Any] = ["kernel", shared["flavour", flag]]
+    web_assignments: List[WebAssignment] = []
+    read_assignments: List[ReadOperandAssignment] = []
+    looked_up = 0
+    with TRACER.span("alloc.levels"):
+        for values in analysis.strand_values:
+            strand_id = values.strand.strand_id
+            taken: FrozenSet[int] = frozenset()
+            lrf_writes: FrozenSet[Tuple[int, ...]] = frozenset()
+            if lrf_table is not None:
+                lrf = lrf_table.get(strand_id)
+                if lrf is None:
+                    placed = _lrf_pass(None, values, config, model, sink)
+                    lrf = lrf_table[strand_id] = _take_pass(sink, placed)
+                else:
+                    looked_up += 1
+                web_assignments.extend(lrf.webs)
+                taken = lrf.taken
+                lrf_writes = lrf.writes
+            orf = orf_table.get((strand_id, taken))
+            if orf is None:
+                _orf_pass(None, values, config, model, sink, taken)
+                orf = orf_table[strand_id, taken] = _take_pass(sink, ())
+            else:
+                looked_up += 1
+            web_assignments.extend(orf.webs)
+            read_assignments.extend(orf.reads)
+            kernel_key.append(lrf_writes)
+            kernel_key.append(orf.writes)
+    if looked_up:
+        shared["looked_up"] = shared.get("looked_up", 0) + looked_up
+
+    key = tuple(kernel_key)
+    annotated = shared.get(key)
+    if annotated is None:
+        annotated = shared[key] = kernel.clone()
+        annotated.stamp_baseline(analysis.partition.ends_strand_positions)
+        # Placements never share an operand slot, so their order does
+        # not matter (see _placement_writes).
+        for web_assignment in web_assignments:
+            _annotate_web(annotated, web_assignment, config)
+        for read_assignment in read_assignments:
+            _annotate_read_operand(annotated, read_assignment)
+    return AllocationResult(
+        annotated,
+        config,
+        analysis.partition,
+        analysis.strand_values,
+        web_assignments,
+        read_assignments,
+    )
+
+
+def _pass_energies(
+    model: EnergyModel,
+) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """The energies an LRF pass and an ORF pass read.  LRF candidates
+    are on the private datapath only (:attr:`Web.all_private`)."""
+    lrf = tuple(
+        energy(level)
+        for level in (Level.MRF, Level.LRF)
+        for energy in (model.read_energy, model.write_energy)
+    )
+    orf = tuple(
+        energy(level, on_shared_unit)
+        for energy in (model.read_energy, model.write_energy)
+        for level in (Level.MRF, Level.ORF)
+        for on_shared_unit in (False, True)
+    )
+    return lrf, orf
+
+
+def _take_pass(sink: AllocationResult, taken: Iterable[int]) -> _StrandPass:
+    """The placements one pass appended to ``sink``, which is emptied
+    for the next pass."""
+    webs = tuple(sink.web_assignments)
+    reads = tuple(sink.read_assignments)
+    sink.web_assignments.clear()
+    sink.read_assignments.clear()
+    return _StrandPass(
+        webs, reads, frozenset(taken), _placement_writes(webs, reads)
+    )
+
+
+def _placement_writes(
+    webs: Sequence[WebAssignment], reads: Sequence[ReadOperandAssignment]
+) -> FrozenSet[Tuple[int, ...]]:
+    """What one strand's placements write into the kernel, as ints.
+
+    Placements never share an operand slot: a web owns its definitions
+    and reads, and a read-operand group owns reads that no in-strand
+    definition reaches.  So the set of these items fixes the strand's
+    annotations whatever the placement order, and equal sets annotate
+    equally.  A web's covered reads are a prefix of its coverable reads
+    or of their block-scoped subsequence, so their count and last read
+    say which reads they are; a read-operand group's are a prefix of
+    its coverable reads, whose first read names the group.  Web items
+    have six fields and read-operand items four, so the two never meet.
+    """
+    items: List[Tuple[int, ...]] = []
+    for placed in webs:
+        covered = placed.covered_reads
+        last = covered[-1].site if covered else None
+        items.append((
+            placed.web.web_id,
+            placed.level is Level.LRF,
+            placed.entries[0],
+            len(covered),
+            last.ref.position if last else -1,
+            last.slot if last else -1,
+        ))
+    for group in reads:
+        first = group.covered_reads[0].site
+        items.append((
+            first.ref.position,
+            first.slot,
+            group.entries[0],
+            len(group.covered_reads),
+        ))
+    return frozenset(items)
 
 
 # ---------------------------------------------------------------------------
@@ -414,14 +691,15 @@ def _scoped_reads(web: Web, config: AllocationConfig) -> List[WebRead]:
 
 
 def _lrf_pass(
-    kernel: Kernel,
+    kernel: Optional[Kernel],
     values: StrandValues,
     config: AllocationConfig,
     model: EnergyModel,
     result: AllocationResult,
     recorder: Optional[ProvenanceRecorder] = None,
 ) -> Dict[int, WebAssignment]:
-    """Allocate instances to the LRF first (Section 4.6)."""
+    """Allocate instances to the LRF first (Section 4.6).  Placements
+    go to ``result``; a ``kernel`` of None is left unannotated."""
     strand_id = values.strand.strand_id
     num_banks = config.lrf_banks if config.split_lrf else 1
     banks = EntryFile(num_banks)
@@ -528,7 +806,8 @@ def _lrf_pass(
         )
         assigned[web.web_id] = assignment
         result.web_assignments.append(assignment)
-        _annotate_web(kernel, assignment, config)
+        if kernel is not None:
+            _annotate_web(kernel, assignment, config)
         if recorder is not None:
             recorder.record(
                 "place", strand_id, "web", web.reg,
@@ -563,15 +842,17 @@ def _lrf_bank_for(
 
 
 def _orf_pass(
-    kernel: Kernel,
+    kernel: Optional[Kernel],
     values: StrandValues,
     config: AllocationConfig,
     model: EnergyModel,
     result: AllocationResult,
-    lrf_assigned: Dict[int, WebAssignment],
+    lrf_assigned: Container[int],
     recorder: Optional[ProvenanceRecorder] = None,
 ) -> None:
-    """Greedy ORF allocation with partial ranges and read operands."""
+    """Greedy ORF allocation with partial ranges and read operands;
+    ``lrf_assigned`` holds the ids of the webs the LRF took.  As in
+    :func:`_lrf_pass`, a ``kernel`` of None is left unannotated."""
     strand_id = values.strand.strand_id
     orf = EntryFile(config.orf_entries)
 
@@ -686,7 +967,7 @@ def _orf_pass(
 
 
 def _try_allocate_web(
-    kernel: Kernel,
+    kernel: Optional[Kernel],
     web: Web,
     covered: List[WebRead],
     orf: EntryFile,
@@ -730,7 +1011,8 @@ def _try_allocate_web(
                 savings=savings,
             )
             result.web_assignments.append(assignment)
-            _annotate_web(kernel, assignment, config)
+            if kernel is not None:
+                _annotate_web(kernel, assignment, config)
             if recorder is not None:
                 recorder.record(
                     "place", strand_id, "web", web.reg,
@@ -767,7 +1049,7 @@ def _try_allocate_web(
 
 
 def _try_allocate_read_operand(
-    kernel: Kernel,
+    kernel: Optional[Kernel],
     candidate: ReadOperandCandidate,
     covered: List[WebRead],
     orf: EntryFile,
@@ -811,7 +1093,8 @@ def _try_allocate_read_operand(
                 savings=savings,
             )
             result.read_assignments.append(assignment)
-            _annotate_read_operand(kernel, assignment)
+            if kernel is not None:
+                _annotate_read_operand(kernel, assignment)
             if recorder is not None:
                 recorder.record(
                     "place", strand_id, "read_operand", candidate.reg,

@@ -860,7 +860,26 @@ def main(argv: Optional[List[str]] = None) -> int:
         _finish_observability(args)
 
 
+def _out_of_range(args) -> Optional[str]:
+    """Why a numeric option's value is unusable, or None.  ``type=int``
+    and ``type=float`` admit 0 and negatives: a warp count below 1
+    leaves no trace to tune, schedule or time, and a time budget must
+    leave the search some time."""
+    warps = getattr(args, "warps", None)
+    if warps is not None and warps < 1:
+        return f"--warps must be at least 1, got {warps}"
+    budget = getattr(args, "time_budget_s", None)
+    if budget is not None and not budget > 0:
+        return f"--time-budget-s must be positive, got {budget}"
+    return None
+
+
 def _dispatch(args) -> int:
+    error = _out_of_range(args)
+    if error is not None:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
+
     if args.command == "list":
         for name in BENCHMARK_NAMES:
             print(f"{name:<22} {suite_of(name)}")

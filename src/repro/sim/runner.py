@@ -18,8 +18,9 @@ scalar event walk, which is kept bit-for-bit as the
 differential-testing oracle.
 
 There is one evaluation path, in two steps: :func:`allocate_schemes`
-allocates every software scheme of a batch on its own clone of the
-kernel, sharing one analysis, and :func:`account_traces_batch` accounts
+allocates every software scheme of a batch together, sharing one
+analysis and, across schemes whose placements coincide, one read-only
+annotated clone of the kernel, and :func:`account_traces_batch` accounts
 the traces under each scheme with the allocation it was handed.
 :func:`evaluate_traces_batch` runs both; :func:`evaluate_traces` is a
 batch of one.  Nothing here memoizes an allocation: the only state
@@ -155,8 +156,9 @@ def allocate_schemes(
 
     Software schemes are allocated together through
     :func:`repro.alloc.allocator.allocate_kernels_batch` (one analysis
-    per persistence flavour, one levels pass per scheme, each on its
-    own clone); hardware and baseline schemes get ``None``.
+    per persistence flavour, one levels pass per scheme; schemes whose
+    placements coincide share one read-only annotated clone); hardware
+    and baseline schemes get ``None``.
     """
     configs = [s.allocation_config() for s in schemes if s.kind.is_software]
     if not configs:

@@ -11,6 +11,8 @@ corpus plus hypothesis-drawn seeds are the oracle, covering divergent
 hammocks and guarded forward branches.
 """
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,11 +26,12 @@ from repro.alloc import (
 from repro.alloc import analysis as analysis_module
 from repro.alloc.serialize import annotations_to_dict
 from repro.obs.provenance import ProvenanceRecorder
+from repro.obs.tracer import TRACER
 from repro.sim import build_traces
 from repro.sim.runner import account_traces_batch, allocate_schemes
 from repro.sim.schemes import scheme_for_config
 from repro.tuner.space import default_space
-from repro.workloads import generate_workload
+from repro.workloads import generate_workload, get_workload
 
 from ..sim.test_fuzz_regressions import CORPUS_CONFIGS, FUZZ_CORPUS
 
@@ -258,3 +261,102 @@ def test_recorders_length_must_match_configs():
         allocate_kernels_batch(
             spec.kernel, SWEEP_CONFIGS, recorders=[ProvenanceRecorder()]
         )
+
+
+def _sharing_kernel(name):
+    if name.startswith("fuzz:"):
+        return generate_workload(int(name[5:]), num_warps=1).kernel
+    return get_workload(name).kernel
+
+
+def _check_sharing_is_exact(kernel, configs):
+    """Two results of one batch hold one kernel object exactly when
+    their annotation documents (``ends_strand`` bits included) are
+    equal, and every result equals an independent run.  Returns the
+    number of distinct kernels."""
+    batch = allocate_kernels_batch(kernel, configs)
+    documents = {}
+    kernel_of_document = {}
+    for config, batched in zip(configs, batch):
+        single = allocate_kernel(kernel.clone(), config)
+        document = annotations_to_dict(single.kernel)
+        key = id(batched.kernel)
+        if key not in documents:
+            documents[key] = annotations_to_dict(batched.kernel)
+        assert documents[key] == document, config
+        assert _assignment_shape(batched) == _assignment_shape(single)
+        assert batched.config == config
+        text = json.dumps(document, sort_keys=True)
+        assert kernel_of_document.setdefault(text, key) == key, config
+    return len(documents)
+
+
+@pytest.mark.parametrize(
+    # Corpus seed 320; corpus seed 211, whose hammock fences a read
+    # against divergent interleaving; and a suite kernel whose two
+    # persistence flavours partition alike, so configs of both share.
+    "name", ["fuzz:320", "fuzz:211", "hotspot"],
+)
+def test_batch_shares_a_kernel_exactly_when_annotations_match(name):
+    """Over the whole tuner space, the idealised axis included."""
+    kernel = _sharing_kernel(name)
+    space = default_space(include_ideal=True)
+    configs = [space.config(a) for a in space.assignments()]
+    assert _check_sharing_is_exact(kernel, configs) < len(configs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2000))
+def test_random_kernels_shared_batch_is_exact(seed):
+    spec = generate_workload(seed, num_warps=1)
+    _check_sharing_is_exact(spec.kernel, SWEEP_CONFIGS)
+
+
+def test_recorded_configs_and_batches_of_one_get_their_own_clones():
+    kernel = generate_workload(320, num_warps=1).kernel
+    config = AllocationConfig()
+    plain = allocate_kernels_batch(kernel, [config, config])
+    assert plain[0].kernel is plain[1].kernel
+    assert plain[0].web_assignments is not plain[1].web_assignments
+    recorded = allocate_kernels_batch(
+        kernel, [config, config],
+        recorders=[ProvenanceRecorder(), ProvenanceRecorder()],
+    )
+    mixed = allocate_kernels_batch(
+        kernel, [config] * 3, recorders=[ProvenanceRecorder(), None, None]
+    )
+    (single,) = allocate_kernels_batch(kernel, [config])
+    assert recorded[0].kernel is not recorded[1].kernel
+    assert mixed[0].kernel is not mixed[1].kernel
+    assert mixed[1].kernel is mixed[2].kernel
+    owned = [r.kernel for r in recorded] + [mixed[0].kernel, single.kernel]
+    assert len({id(k) for k in owned + [kernel, plain[0].kernel]}) == 6
+    expected = annotations_to_dict(plain[0].kernel)
+    for result in recorded + mixed + [single]:
+        assert annotations_to_dict(result.kernel) == expected
+
+
+def test_levels_batch_span_reports_what_the_batch_shared():
+    spec = generate_workload(101, num_warps=1)
+    TRACER.reset()
+    TRACER.configure(enabled=True)
+    try:
+        batch = allocate_kernels_batch(spec.kernel, SWEEP_CONFIGS)
+        (single,) = allocate_kernels_batch(spec.kernel, SWEEP_CONFIGS[:1])
+        spans = [s for s in TRACER.drain() if s.name == "alloc.levels_batch"]
+    finally:
+        TRACER.reset()
+    passes = sum(
+        len(r.strand_values) * (2 if r.config.use_lrf else 1) for r in batch
+    )
+    shared, alone = (span.attributes for span in spans)
+    assert shared["strand_passes_run"] + shared[
+        "strand_passes_looked_up"
+    ] == passes
+    assert shared["strand_passes_looked_up"] > 0
+    assert shared["annotated_kernels"] == len({id(r.kernel) for r in batch})
+    assert alone["strand_passes_looked_up"] == 0
+    assert alone["strand_passes_run"] == len(single.strand_values) * (
+        2 if single.config.use_lrf else 1
+    )
+    assert alone["annotated_kernels"] == 1

@@ -123,3 +123,35 @@ class TestServeCommand:
         assert main(["serve", "--port", "0", flag, "0"]) == 2
         err = capsys.readouterr().err
         assert err == f"repro: error: {flag} must be at least 1, got 0\n"
+
+
+class TestNumericOptionRanges:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tune", "fuzz:5", "--warps", "0"],
+            ["tune", "fuzz:5", "--warps", "-3"],
+            ["scheduler", "--warps", "0"],
+            ["timing", "--warps", "-1"],
+        ],
+    )
+    def test_warps_below_one_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        assert main(argv + (["--out", str(out)] if argv[0] == "tune"
+                            else [])) == 2
+        value = argv[argv.index("--warps") + 1]
+        assert capsys.readouterr().err == (
+            f"repro: error: --warps must be at least 1, got {value}\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    def test_time_budget_must_be_positive(self, value, tmp_path, capsys):
+        out = tmp_path / "tune.json"
+        argv = ["tune", "fuzz:5", "--time-budget-s", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "repro: error: --time-budget-s must be positive, "
+            f"got {float(value)}\n"
+        )
+        assert not out.exists()
