@@ -32,6 +32,7 @@ workload, or a path to an IR text file (``-`` for stdin).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from typing import List, Optional
@@ -98,13 +99,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_engine_flags(cmd: argparse.ArgumentParser) -> None:
+    def add_suite_engine_flags(cmd: argparse.ArgumentParser) -> None:
+        """Engine flags plus ``--jobs``, which only the commands that
+        prefetch the suite's records (figures, export, report) read."""
         cmd.add_argument(
             "--jobs",
             type=int,
             default=1,
             help="worker processes for the experiment engine (default 1)",
         )
+        add_engine_flags(cmd)
+
+    def add_engine_flags(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
             "--cache-dir",
             default=None,
@@ -172,7 +178,7 @@ def _build_parser() -> argparse.ArgumentParser:
             default=1.0,
             help="multiply workload trip counts (default 1.0)",
         )
-        add_engine_flags(cmd)
+        add_suite_engine_flags(cmd)
 
     unroll = sub.add_parser(
         "unroll", help="unroll-and-hoist ablation (Section 6.4)"
@@ -228,14 +234,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "--skip-slow", action="store_true",
         help="skip the limit study (the most expensive driver)",
     )
-    add_engine_flags(export)
+    add_suite_engine_flags(export)
 
     report = sub.add_parser(
         "report", help="write the full reproduction report (markdown)"
     )
     report.add_argument("path", nargs="?", default="REPORT.md")
     report.add_argument("--scale", type=float, default=1.0)
-    add_engine_flags(report)
+    add_suite_engine_flags(report)
 
     bench = sub.add_parser(
         "bench-accounting",
@@ -853,6 +859,12 @@ def _run_tune(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    error = _out_of_range(args)
+    if error is not None:
+        # Before observability starts, so a usage error writes no
+        # trace or profile file.
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
     _setup_observability(args)
     try:
         return _dispatch(args)
@@ -862,9 +874,15 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 def _out_of_range(args) -> Optional[str]:
     """Why a numeric option's value is unusable, or None.  ``type=int``
-    and ``type=float`` admit 0 and negatives: a warp count below 1
-    leaves no trace to tune, schedule or time, and a time budget must
-    leave the search some time."""
+    and ``type=float`` admit 0 and negatives, and ``type=float`` also
+    nan and inf: a scale must be a positive finite number (the
+    workloads clamp a loop's scaled trip count to at least 2, and
+    cannot round nan or inf), a warp count below 1 leaves no trace to
+    tune, schedule or time, and a time budget must leave the search
+    some time."""
+    scale = getattr(args, "scale", None)
+    if scale is not None and not (scale > 0 and math.isfinite(scale)):
+        return f"--scale must be positive and finite, got {scale}"
     warps = getattr(args, "warps", None)
     if warps is not None and warps < 1:
         return f"--warps must be at least 1, got {warps}"
@@ -875,11 +893,6 @@ def _out_of_range(args) -> Optional[str]:
 
 
 def _dispatch(args) -> int:
-    error = _out_of_range(args)
-    if error is not None:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
-
     if args.command == "list":
         for name in BENCHMARK_NAMES:
             print(f"{name:<22} {suite_of(name)}")

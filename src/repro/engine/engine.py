@@ -268,6 +268,8 @@ class ExperimentEngine:
                     for (key, _), payload in zip(pool_jobs, results):
                         self._store_record(key, payload)
                     self.metrics.count("jobs_completed", len(pool_jobs))
+                    # Computed records are misses wherever they ran.
+                    self.metrics.count("record_misses", len(pool_jobs))
                 except Exception:
                     # Pool unavailable (restricted environment) or a
                     # worker died: fall back to computing inline.

@@ -308,6 +308,10 @@ def test_prefetch_serial_vs_parallel_identical(spec, traces):
     assert _record_snapshot(serial, items, schemes) == _record_snapshot(
         parallel, items, schemes
     )
+    # A record computed in a pool worker is still a record miss.
+    distinct = len({record_key(traces, scheme) for scheme in schemes})
+    for engine in (serial, parallel):
+        assert engine.metrics.counters["record_misses"] == distinct
 
 
 def test_prefetch_falls_back_inline_for_unknown_workloads(spec, traces):

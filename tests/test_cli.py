@@ -125,7 +125,52 @@ class TestServeCommand:
         assert err == f"repro: error: {flag} must be at least 1, got 0\n"
 
 
+class TestEngineFlags:
+    def test_tune_has_no_jobs_flag(self, tmp_path, capsys):
+        # A tune runs one search in-process; nothing would read --jobs.
+        out = tmp_path / "tune.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "fuzz:5", "--out", str(out), "--jobs", "2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            "repro: error: unrecognized arguments: --jobs 2"
+        ]
+        assert not out.exists()
+
+
 class TestNumericOptionRanges:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["fig15"],
+            ["all"],
+            ["export", "{tmp}"],
+            ["report", "{tmp}/REPORT.md"],
+            ["scheduler"],
+            ["timing"],
+            ["trace", "--trace-out", "{tmp}/trace.json"],
+            ["tune", "fuzz:5", "--out", "{tmp}/tune.json"],
+            ["bench-accounting", "--out", "{tmp}/bench.json"],
+        ],
+    )
+    def test_scale_must_be_positive_and_finite(
+        self, argv, value, tmp_path, capsys
+    ):
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv + ["--scale", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "repro: error: --scale must be positive and finite, "
+            f"got {float(value)}\n"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize(
         "argv",
         [
