@@ -17,8 +17,9 @@ content fingerprint); steps 3–4 are the per-config *levels pass*.
 ``allocate_kernels_batch`` exploits the split: one analysis, one levels
 pass per configuration — the workhorse of multi-config sweeps.  Step 3
 decides each strand from that strand's values and a few config fields
-and energies, so a batch runs each distinct strand pass once and
-annotates one kernel per distinct placement.
+and energies, so a batch runs each distinct strand pass once, prices
+each strand's ORF candidates once per forward-branch scope and ORF
+energies, and annotates one kernel per distinct placement.
 
 The allocator never changes program semantics: it only decides where
 each value lives.  Any value whose location would be ambiguous at a
@@ -95,9 +96,16 @@ class AllocationConfig:
     assume_persistent_strands: bool = False
 
     def energy_model(self) -> EnergyModel:
-        return EnergyModel(
-            orf_entries=self.orf_entries, split_lrf=self.split_lrf
-        )
+        """The default-table model for this config's ORF size and LRF
+        split: one shared instance per pair, so its operand-energy memo
+        stays warm from one allocation to the next."""
+        key = (self.orf_entries, self.split_lrf)
+        model = _MODELS.get(key)
+        if model is None:
+            model = _MODELS[key] = EnergyModel(
+                orf_entries=self.orf_entries, split_lrf=self.split_lrf
+            )
+        return model
 
     @staticmethod
     def baseline_two_level(orf_entries: int = 3) -> "AllocationConfig":
@@ -181,6 +189,11 @@ class AllocationConfig:
         if config.split_lrf and not config.use_lrf:
             raise ValueError("split_lrf requires use_lrf")
         return config
+
+
+#: (orf_entries, split_lrf) -> the model ``energy_model()`` returns.
+#: Models are frozen and at most 16 keys have a Table 3 row.
+_MODELS: Dict[Tuple[int, bool], EnergyModel] = {}
 
 
 @dataclass
@@ -328,18 +341,24 @@ def allocate_kernels_batch(
     analysis.
 
     A batch of two or more configs also shares the levels pass (see
-    :func:`_shared_levels_pass`): results whose placements annotate
-    the kernel identically hold one annotated clone, so a result's
-    kernel is read-only and may be another result's too.  A batch of
-    one, and each config with a recorder, annotates its own pristine
-    clone.
+    :func:`_shared_levels_pass`): each distinct strand pass runs once,
+    the ORF passes that run walk one priced candidate queue per
+    (persistence flavour, strand, forward-branch scope, ORF energies),
+    and results whose placements annotate the kernel identically hold
+    one annotated clone, so a result's kernel is read-only and may be
+    another result's too.  A batch of one, and each config with a
+    recorder, annotates its own pristine clone and builds its own
+    queues, so provenance events keep their order.  Nothing is kept
+    across calls.
     """
     if recorders is not None and len(recorders) != len(configs):
         raise ValueError("recorders must parallel configs")
     results: List[AllocationResult] = []
     analyses: Dict[bool, KernelAnalysis] = {}
-    # The batch's shared passes and kernels; dropped on return.
+    # The batch's shared passes, queues and kernels; dropped on return.
     shared: Optional[Dict[Any, Any]] = {} if len(configs) > 1 else None
+    # ORF queues built by configs that allocate alone, one per strand.
+    own_queues = 0
     with TRACER.span(
         "alloc.levels_batch", kernel=kernel.name, configs=len(configs)
     ) as span:
@@ -362,13 +381,16 @@ def allocate_kernels_batch(
                     recorder=recorder,
                     analysis=analysis,
                 )
+                own_queues += len(analysis.strand_values)
             else:
                 result = _levels_pass(
                     kernel, analysis, config, model, None, shared
                 )
             results.append(result)
         if span is not None:
-            span.attributes.update(_sharing_counts(results, shared))
+            span.attributes.update(
+                _sharing_counts(results, shared, own_queues)
+            )
     return results
 
 
@@ -394,19 +416,24 @@ def _equivalent_flavour(
 
 
 def _sharing_counts(
-    results: Sequence[AllocationResult], shared: Optional[Dict[Any, Any]]
+    results: Sequence[AllocationResult],
+    shared: Optional[Dict[Any, Any]],
+    own_queues: int,
 ) -> Dict[str, int]:
     """What a batch shared, for its ``alloc.levels_batch`` span: strand
-    passes run, strand passes looked up from an earlier config, and
-    distinct annotated kernels."""
+    passes run, strand passes looked up from an earlier config, ORF
+    candidate queues built (``own_queues`` by the configs that
+    allocated alone), and distinct annotated kernels."""
     passes = sum(
         len(result.strand_values) * (2 if result.config.use_lrf else 1)
         for result in results
     )
     looked_up = shared.get("looked_up", 0) if shared else 0
+    queues = shared.get("queues_built", 0) if shared else 0
     return {
         "strand_passes_run": passes - looked_up,
         "strand_passes_looked_up": looked_up,
+        "orf_queues_built": queues + own_queues,
         "annotated_kernels": len({id(result.kernel) for result in results}),
     }
 
@@ -479,10 +506,13 @@ def _shared_levels_pass(
     three optimisation toggles, the MRF and ORF energies, and which
     webs the LRF took.  So each distinct pass runs once per batch,
     placing without annotating, and every later config with the same
-    inputs looks it up in ``shared``.  Configs whose placements write
-    the same annotations then share one clone of ``kernel``, stamped
-    and annotated once; each result still gets its own config and
-    assignment lists.
+    inputs looks it up in ``shared``.  The ORF passes that do run
+    share their candidate queues too: a queue reads only the strand,
+    the forward-branch scope and the MRF and ORF energies (see
+    :func:`_orf_queue`), so each is priced and sorted once per batch.
+    Configs whose placements write the same annotations then share one
+    clone of ``kernel``, stamped and annotated once; each result still
+    gets its own config and assignment lists.
     """
     flag = analysis.assume_persistent
     # Equal models become one, whose operand-energy memo then serves
@@ -516,6 +546,13 @@ def _shared_levels_pass(
     orf_table = shared.get(orf_inputs)
     if orf_table is None:
         orf_table = shared[orf_inputs] = {}
+    # Strand -> ORF queue, for every ORF pass that prices alike.
+    queue_inputs = (
+        "queue", flag, config.allow_forward_branches, orf_energies
+    )
+    queues = shared.get(queue_inputs)
+    if queues is None:
+        queues = shared[queue_inputs] = {}
     # Collects each pass's placements (the kernel is never touched).
     sink = AllocationResult(
         kernel, config, analysis.partition, analysis.strand_values
@@ -527,7 +564,7 @@ def _shared_levels_pass(
     kernel_key: List[Any] = ["kernel", shared["flavour", flag]]
     web_assignments: List[WebAssignment] = []
     read_assignments: List[ReadOperandAssignment] = []
-    looked_up = 0
+    looked_up = queues_built = 0
     with TRACER.span("alloc.levels"):
         for values in analysis.strand_values:
             strand_id = values.strand.strand_id
@@ -545,7 +582,15 @@ def _shared_levels_pass(
                 lrf_writes = lrf.writes
             orf = orf_table.get((strand_id, taken))
             if orf is None:
-                _orf_pass(None, values, config, model, sink, taken)
+                queue = queues.get(strand_id)
+                if queue is None:
+                    queue = queues[strand_id] = _orf_queue(
+                        values, config, model
+                    )
+                    queues_built += 1
+                _orf_pass(
+                    None, values, config, model, sink, taken, queue=queue
+                )
                 orf = orf_table[strand_id, taken] = _take_pass(sink, ())
             else:
                 looked_up += 1
@@ -555,6 +600,8 @@ def _shared_levels_pass(
             kernel_key.append(orf.writes)
     if looked_up:
         shared["looked_up"] = shared.get("looked_up", 0) + looked_up
+    if queues_built:
+        shared["queues_built"] = shared.get("queues_built", 0) + queues_built
 
     key = tuple(kernel_key)
     annotated = shared.get(key)
@@ -841,27 +888,40 @@ def _lrf_bank_for(
     return slot
 
 
-def _orf_pass(
-    kernel: Optional[Kernel],
+#: One ORF candidate: (web, read-operand group, covered reads, savings
+#: at those reads), exactly one of web and group not None.  Carrying
+#: the savings spares a first placement attempt pricing it again.
+_Queued = Tuple[
+    Optional[Web], Optional[ReadOperandCandidate], List[WebRead], float
+]
+
+
+def _orf_queue(
     values: StrandValues,
     config: AllocationConfig,
     model: EnergyModel,
-    result: AllocationResult,
-    lrf_assigned: Container[int],
+    lrf_assigned: Container[int] = (),
+    read_operands: bool = True,
     recorder: Optional[ProvenanceRecorder] = None,
-) -> None:
-    """Greedy ORF allocation with partial ranges and read operands;
-    ``lrf_assigned`` holds the ids of the webs the LRF took.  As in
-    :func:`_lrf_pass`, a ``kernel`` of None is left unannotated."""
-    strand_id = values.strand.strand_id
-    orf = EntryFile(config.orf_entries)
+) -> List[_Queued]:
+    """One strand's priced ORF candidates in the order the greedy pass
+    tries them (Figure 7): highest priority first, webs before
+    read-operand groups, then strand order.
 
-    # Items: ("web", web) and ("read", candidate), one shared queue.
-    # Entries carry the push-time savings so the first allocation
-    # attempt does not recompute the identical value.
-    heap: List[Tuple[float, int, str, object, List[WebRead], float]] = []
-    seq = 0
-    for web in values.webs:
+    Pricing reads the strand's values, the forward-branch scope and
+    the model's MRF and ORF energies, nothing else of the config.  So a
+    batch builds one queue of every web and group per strand and scope
+    (the defaults), and each of its ORF passes skips what its config
+    excludes.  A pass of its own leaves out the ``lrf_assigned`` webs
+    and, unless ``read_operands``, every group, and records each
+    candidate's fate in strand order as it prices it.
+    """
+    strand_id = values.strand.strand_id
+    # (-priority, webs first, strand order) is unique per candidate, so
+    # sorting never compares candidates, and the order is the one a
+    # heap keyed on push order would pop.
+    ranked: List[Tuple[float, int, int, _Queued]] = []
+    for index, web in enumerate(values.webs):
         if web.web_id in lrf_assigned:
             continue
         if not _web_scope_ok(web, config):
@@ -898,14 +958,13 @@ def _orf_pass(
                 priority=round(priority(savings, begin, end), 6),
                 reads=len(covered), width=web.width_words,
             )
-        heapq.heappush(
-            heap,
-            (-priority(savings, begin, end), seq, "web", web, covered, savings),
-        )
-        seq += 1
+        ranked.append((
+            -priority(savings, begin, end), 0, index,
+            (web, None, covered, savings),
+        ))
 
-    if config.enable_read_operands:
-        for candidate in values.read_candidates:
+    if read_operands:
+        for index, candidate in enumerate(values.read_candidates):
             covered = list(candidate.coverable_reads)
             if not config.allow_forward_branches:
                 blocks = {r.site.ref.block_index for r in covered}
@@ -939,29 +998,49 @@ def _orf_pass(
                     priority=round(priority(savings, begin, end), 6),
                     reads=len(covered),
                 )
-            heapq.heappush(
-                heap,
-                (
-                    -priority(savings, begin, end),
-                    seq,
-                    "read",
-                    candidate,
-                    covered,
-                    savings,
-                ),
-            )
-            seq += 1
+            ranked.append((
+                -priority(savings, begin, end), 1, index,
+                (None, candidate, covered, savings),
+            ))
+    ranked.sort()
+    return [queued for _, _, _, queued in ranked]
 
-    while heap:
-        _, _, kind, item, covered, savings = heapq.heappop(heap)
-        if kind == "web":
-            _try_allocate_web(
-                kernel, item, covered, orf, config, model, result,
-                recorder, strand_id, savings=savings,
-            )
-        else:
+
+def _orf_pass(
+    kernel: Optional[Kernel],
+    values: StrandValues,
+    config: AllocationConfig,
+    model: EnergyModel,
+    result: AllocationResult,
+    lrf_assigned: Container[int],
+    recorder: Optional[ProvenanceRecorder] = None,
+    queue: Optional[Sequence[_Queued]] = None,
+) -> None:
+    """Greedy ORF allocation with partial ranges and read operands;
+    ``lrf_assigned`` holds the ids of the webs the LRF took.  As in
+    :func:`_lrf_pass`, a ``kernel`` of None is left unannotated.
+
+    ``queue`` is a batch's shared :func:`_orf_queue` for this strand
+    and scope; without one the pass builds (and records) its own.
+    Either way it tries the same candidates in the same order.
+    """
+    strand_id = values.strand.strand_id
+    read_operands = config.enable_read_operands
+    if queue is None:
+        queue = _orf_queue(
+            values, config, model, lrf_assigned, read_operands, recorder
+        )
+    orf = EntryFile(config.orf_entries)
+    for web, group, covered, savings in queue:
+        if web is not None:
+            if web.web_id not in lrf_assigned:
+                _try_allocate_web(
+                    kernel, web, covered, orf, config, model, result,
+                    recorder, strand_id, savings=savings,
+                )
+        elif read_operands:
             _try_allocate_read_operand(
-                kernel, item, covered, orf, config, model, result,
+                kernel, group, covered, orf, config, model, result,
                 recorder, strand_id, savings=savings,
             )
 

@@ -25,11 +25,20 @@ Two window flavours exist, distinguished by ``closed``:
   therefore conflicts with *any* window it touches, in either
   direction — placed read-operand ranges are entry occupancy for webs,
   and vice versa.
+
+:class:`EntryFile` keeps each entry's occupancy as one int bitmask over
+*half-slots*: slot ``p``'s read phase is bit ``2p`` and its write phase
+bit ``2p + 1``.  A value window covers its begin's write phase through
+its end's read phase (at least the begin's write phase, so a dead value
+still claims the slot it is written in); a closed window covers both
+phases of every slot it spans.  Two windows conflict exactly when their
+masks intersect, so an availability check is one ``&`` per entry
+instead of one :func:`windows_conflict` call per placed window; the
+tests check the masks against the predicate exhaustively.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 #: One occupancy window: (begin, end, closed).
@@ -39,9 +48,11 @@ Window = Tuple[int, int, bool]
 def windows_conflict(a: Window, b: Window) -> bool:
     """True if two occupancy windows cannot share one entry.
 
-    This predicate is the single source of truth for entry sharing;
-    the allocator enforces it and the property tests re-check the
-    allocator's output against it.
+    This predicate is the single source of truth for entry sharing:
+    :class:`EntryFile` enforces it through :func:`window_mask`, the
+    tests check those masks against it for every pair of small
+    windows, and the property tests re-check the allocator's output
+    against it.
     """
     begin_a, end_a, closed_a = a
     begin_b, end_b, closed_b = b
@@ -55,24 +66,18 @@ def windows_conflict(a: Window, b: Window) -> bool:
     return begin_a == begin_b or (begin_a < end_b and begin_b < end_a)
 
 
-@dataclass
-class _Entry:
-    occupied: List[Window] = field(default_factory=list)
-
-    def available(self, begin: int, end: int, closed: bool = False) -> bool:
-        """True if the window may be added without a sharing conflict."""
-        candidate = (begin, end, closed)
-        for other in self.occupied:
-            if windows_conflict(candidate, other):
-                return False
-        return True
-
-    def allocate(self, begin: int, end: int, closed: bool = False) -> None:
-        if not self.available(begin, end, closed):
-            raise ValueError(
-                f"interval [{begin}, {end}] overlaps an existing allocation"
-            )
-        self.occupied.append((begin, end, closed))
+def window_mask(begin: int, end: int, closed: bool = False) -> int:
+    """The half-slots one occupancy window covers, as a bitmask (see
+    the module docstring); two masks intersect exactly when
+    :func:`windows_conflict` holds for their windows."""
+    if begin > end:
+        raise ValueError(f"empty interval [{begin}, {end}]")
+    if closed:
+        low, high = 2 * begin, 2 * end + 1
+    else:
+        low = 2 * begin + 1
+        high = max(2 * end, low)
+    return ((1 << (high - low + 1)) - 1) << low
 
 
 class EntryFile:
@@ -81,20 +86,20 @@ class EntryFile:
     def __init__(self, num_entries: int) -> None:
         if num_entries < 0:
             raise ValueError("num_entries must be >= 0")
-        self._entries = [_Entry() for _ in range(num_entries)]
+        #: Per entry, the union of its placed windows' masks.
+        self._occupied = [0] * num_entries
 
     @property
     def num_entries(self) -> int:
-        return len(self._entries)
+        return len(self._occupied)
 
     def find_free(
         self, begin: int, end: int, closed: bool = False
     ) -> Optional[int]:
         """Lowest-index entry free over [begin, end], or None."""
-        if begin > end:
-            raise ValueError(f"empty interval [{begin}, {end}]")
-        for index, entry in enumerate(self._entries):
-            if entry.available(begin, end, closed):
+        window = window_mask(begin, end, closed)
+        for index, occupied in enumerate(self._occupied):
+            if not occupied & window:
                 return index
         return None
 
@@ -110,8 +115,9 @@ class EntryFile:
         free: List[int] = []
         if count <= 0:
             return free
-        for index, entry in enumerate(self._entries):
-            if entry.available(begin, end, closed):
+        window = window_mask(begin, end, closed)
+        for index, occupied in enumerate(self._occupied):
+            if not occupied & window:
                 free.append(index)
                 if len(free) == count:
                     return free
@@ -120,9 +126,16 @@ class EntryFile:
     def allocate(
         self, entry_index: int, begin: int, end: int, closed: bool = False
     ) -> None:
-        self._entries[entry_index].allocate(begin, end, closed)
+        window = window_mask(begin, end, closed)
+        if self._occupied[entry_index] & window:
+            raise ValueError(
+                f"interval [{begin}, {end}] overlaps an existing allocation"
+            )
+        self._occupied[entry_index] |= window
 
     def is_available(
         self, entry_index: int, begin: int, end: int, closed: bool = False
     ) -> bool:
-        return self._entries[entry_index].available(begin, end, closed)
+        return not self._occupied[entry_index] & window_mask(
+            begin, end, closed
+        )

@@ -754,11 +754,7 @@ def _run_trace(args) -> int:
         BEST_SW_TWO_LEVEL,
     )
 
-    try:
-        spec = _resolve_target(args.target, args.scale)
-    except _TargetError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    spec = args.spec
     engine = _make_engine(args)
     traces = engine.build_traces(spec.kernel, spec.warp_inputs)
     schemes = [
@@ -785,14 +781,9 @@ def _run_trace(args) -> int:
 
 
 def _run_explain(args) -> int:
-    """``repro explain``: resolve the target kernel and print the
-    allocator's provenance report (text, or JSON with ``--json``)."""
-    try:
-        kernel = _resolve_target(args.target, num_warps=1).kernel
-    except _TargetError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
-
+    """``repro explain``: print the allocator's provenance report for
+    the target kernel (text, or JSON with ``--json``)."""
+    kernel = args.spec.kernel
     config = AllocationConfig(
         orf_entries=args.orf_entries,
         use_lrf=not args.no_lrf,
@@ -829,11 +820,7 @@ def _run_tune(args) -> int:
         write_tune,
     )
 
-    try:
-        spec = _resolve_target(args.target, args.scale, args.warps)
-    except _TargetError as error:
-        print(f"repro: error: {error}", file=sys.stderr)
-        return 2
+    spec = args.spec
     engine = _make_engine(args)
     traces = engine.build_traces(spec.kernel, spec.warp_inputs)
     try:
@@ -859,10 +846,10 @@ def _run_tune(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    error = _out_of_range(args)
+    error = _out_of_range(args) or _resolve_command_target(args)
     if error is not None:
-        # Before observability starts, so a usage error writes no
-        # trace or profile file.
+        # Before observability starts, so a usage or target error
+        # writes no trace or profile file.
         print(f"repro: error: {error}", file=sys.stderr)
         return 2
     _setup_observability(args)
@@ -889,6 +876,26 @@ def _out_of_range(args) -> Optional[str]:
     budget = getattr(args, "time_budget_s", None)
     if budget is not None and not budget > 0:
         return f"--time-budget-s must be positive, got {budget}"
+    return None
+
+
+#: Commands that take a kernel target, and the warp count each builds
+#: it with (None: the command's ``--warps``).
+_TARGET_WARPS = {"trace": 2, "explain": 1, "tune": None}
+
+
+def _resolve_command_target(args) -> Optional[str]:
+    """Resolve a target-taking command's kernel into ``args.spec``;
+    the clean error message if it does not resolve, else None."""
+    if args.command not in _TARGET_WARPS:
+        return None
+    warps = _TARGET_WARPS[args.command] or args.warps
+    try:
+        args.spec = _resolve_target(
+            args.target, getattr(args, "scale", 1.0), warps
+        )
+    except _TargetError as error:
+        return str(error)
     return None
 
 

@@ -22,6 +22,13 @@ class Level(enum.Enum):
     ORF = "orf"
     MRF = "mrf"
 
+    # Identity hash at C level: levels key the energy memos and access
+    # counters the allocator and accounting query millions of times a
+    # sweep, and Enum's own ``hash(name)`` runs in Python.  Both are
+    # per-process (string hashes are randomized), so no output can
+    # depend on which one is used.
+    __hash__ = object.__hash__
+
     @property
     def rank(self) -> int:
         """0 for LRF, 1 for ORF, 2 for MRF (cheapest first)."""

@@ -31,7 +31,7 @@ form, the allocator's analysis memo).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..alloc.allocator import (
     AllocationConfig,
@@ -238,7 +238,11 @@ def account_traces_batch(
     path all hardware schemes are evaluated in a single pass per unique
     trace (:func:`repro.sim.compiled.hardware_counters`), sharing the
     per-event decode and deschedule resolution instead of walking the
-    trace once per scheme.
+    trace once per scheme, and software schemes walk each distinct
+    annotated kernel once: software counters depend only on the traces
+    and the annotations, and a batch's allocations that annotate alike
+    share one kernel object.  Every evaluation gets counters of its
+    own.  The scalar oracle still walks once per scheme.
     """
     if use_compiled is None:
         use_compiled = compiled_enabled()
@@ -252,6 +256,8 @@ def account_traces_batch(
         ):
             batched = hardware_counters(compile_traces(traces), hardware)
 
+    # id(annotated kernel) -> its software counters, for this call.
+    walked: Dict[int, AccessCounters] = {}
     evaluations: List[KernelEvaluation] = []
     for scheme, allocation in zip(schemes, allocations):
         with TRACER.span(
@@ -259,7 +265,8 @@ def account_traces_batch(
             kernel=kernel.name,
             scheme=scheme.name,
             compiled=use_compiled,
-        ):
+        ) as span:
+            shared = False
             if not use_compiled:
                 counters, baseline = _account_scalar(
                     traces, scheme, allocation
@@ -267,9 +274,19 @@ def account_traces_batch(
             else:
                 if scheme.kind.is_hardware:
                     counters = batched[scheme].copy()
+                elif scheme.kind.is_software:
+                    key = id(allocation.kernel)
+                    shared = key in walked
+                    if not shared:
+                        walked[key] = _account_compiled(
+                            traces, scheme, allocation
+                        )
+                    counters = walked[key].copy()
                 else:
                     counters = _account_compiled(traces, scheme, allocation)
                 baseline = _cached_baseline(traces)
+            if span is not None and scheme.kind.is_software:
+                span.attributes["counters_shared"] = shared
         evaluations.append(
             KernelEvaluation(
                 kernel_name=kernel.name,

@@ -19,7 +19,7 @@ perturb the ranking of configs that were evaluated.
 
 from __future__ import annotations
 
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 from ..alloc.allocator import AllocationConfig
 from ..energy.accounting import compute_energy
@@ -43,13 +43,20 @@ def _mrf_accesses(counters: AccessCounters) -> int:
 
 
 def candidate_metrics(
-    evaluation: KernelEvaluation, config: AllocationConfig
+    evaluation: KernelEvaluation,
+    config: AllocationConfig,
+    baseline_pj: Optional[float] = None,
 ) -> Dict[str, Any]:
-    """Deterministic per-candidate metrics from one evaluation record."""
+    """Deterministic per-candidate metrics from one evaluation record.
+
+    ``baseline_pj``, when given, must be :func:`baseline_energy` of the
+    same evaluation and config; a search prices it once per model.
+    """
     model = config.energy_model()
     instructions = max(1, evaluation.dynamic_instructions)
     total_pj = compute_energy(evaluation.counters, model).total_pj
-    baseline_pj = compute_energy(evaluation.baseline, model).total_pj
+    if baseline_pj is None:
+        baseline_pj = baseline_energy(evaluation, config)
     mrf = _mrf_accesses(evaluation.counters)
     mrf_baseline = _mrf_accesses(evaluation.baseline)
     return {
@@ -63,6 +70,14 @@ def candidate_metrics(
         ),
         "dynamic_instructions": evaluation.dynamic_instructions,
     }
+
+
+def baseline_energy(
+    evaluation: KernelEvaluation, config: AllocationConfig
+) -> float:
+    """The single-level baseline's energy (pJ) under ``config``'s
+    model, which normalises the candidate's energy."""
+    return compute_energy(evaluation.baseline, config.energy_model()).total_pj
 
 
 def objective_value(objective: str, metrics: Dict[str, Any]) -> float:

@@ -33,9 +33,14 @@ from ..bench import bench_section, metric_from_samples, write_report
 from ..engine import ExperimentEngine
 from ..obs.registry import labeled_name
 from ..obs.tracer import TRACER
-from ..sim.runner import TraceSet
+from ..sim.runner import KernelEvaluation, TraceSet
 from ..sim.schemes import scheme_for_config
-from .objective import candidate_metrics, dominates, objective_value
+from .objective import (
+    baseline_energy,
+    candidate_metrics,
+    dominates,
+    objective_value,
+)
 from .space import Assignment, ParameterSpace, default_space
 from .strategies import make_strategy
 
@@ -80,6 +85,12 @@ class SearchOracle:
 
     def __post_init__(self) -> None:
         self._memo: Dict[str, Outcome] = {}
+        #: (model, baseline counter items) -> baseline energy.  Every
+        #: candidate shares the trace set's baseline counters, so this
+        #: prices them once per model; the items (whose order fixes the
+        #: float sum) stay in the key so a replayed record cannot
+        #: change a bit.
+        self._baseline_pj: Dict[Any, float] = {}
         self.requested = 0
         self.repeat_hits = 0
         self.best: Optional[Outcome] = None
@@ -160,7 +171,9 @@ class SearchOracle:
                 scheme=scheme.name,
                 key=key,
             ) as span:
-                metrics = candidate_metrics(evaluation, config)
+                metrics = candidate_metrics(
+                    evaluation, config, self._baseline(evaluation, config)
+                )
                 value = objective_value(self.objective, metrics)
                 if span is not None:
                     span.attributes["objective"] = value
@@ -189,6 +202,17 @@ class SearchOracle:
             )
             outcomes.append(outcome)
         return outcomes
+
+    def _baseline(
+        self, evaluation: KernelEvaluation, config: AllocationConfig
+    ) -> float:
+        key = (config.energy_model(), tuple(evaluation.baseline.items()))
+        priced = self._baseline_pj.get(key)
+        if priced is None:
+            priced = self._baseline_pj[key] = baseline_energy(
+                evaluation, config
+            )
+        return priced
 
     def outcomes(self) -> List[Outcome]:
         """Every distinct evaluated candidate, best first."""

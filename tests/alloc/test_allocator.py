@@ -332,3 +332,37 @@ class TestStrandReport:
         assert sum(r["lrf_values"] for r in report) == (
             summary["lrf_values"]
         )
+
+
+class TestEnergyModelReuse:
+    def test_configs_share_one_model_per_orf_size_and_split(self):
+        config = AllocationConfig(orf_entries=5, use_lrf=True)
+        assert config.energy_model() is config.energy_model()
+        assert AllocationConfig(orf_entries=5).energy_model() is (
+            config.energy_model()
+        )
+        split = AllocationConfig(orf_entries=5, use_lrf=True, split_lrf=True)
+        assert split.energy_model() is not config.energy_model()
+        assert split.energy_model().split_lrf
+
+    def test_second_allocation_computes_no_operand_energy(
+        self, loop_kernel, monkeypatch
+    ):
+        """The second single-config allocation of a config finds every
+        operand energy in its model's memo."""
+        from repro.energy.model import EnergyModel
+
+        calls = []
+        original = EnergyModel._per_entry_access
+
+        def counting(self, level, is_read):
+            calls.append((level, is_read))
+            return original(self, level, is_read)
+
+        monkeypatch.setattr(EnergyModel, "_per_entry_access", counting)
+        config = AllocationConfig(orf_entries=6, use_lrf=True)
+        allocate_kernel(loop_kernel.clone(), config)
+        calls.clear()
+        result = allocate_kernel(loop_kernel.clone(), config)
+        assert result.web_assignments
+        assert calls == []

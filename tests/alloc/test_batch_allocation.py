@@ -11,6 +11,7 @@ corpus plus hypothesis-drawn seeds are the oracle, covering divergent
 hammocks and guarded forward branches.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -25,6 +26,7 @@ from repro.alloc import (
 )
 from repro.alloc import analysis as analysis_module
 from repro.alloc.serialize import annotations_to_dict
+from repro.levels import Level
 from repro.obs.provenance import ProvenanceRecorder
 from repro.obs.tracer import TRACER
 from repro.sim import build_traces
@@ -355,8 +357,90 @@ def test_levels_batch_span_reports_what_the_batch_shared():
     ] == passes
     assert shared["strand_passes_looked_up"] > 0
     assert shared["annotated_kernels"] == len({id(r.kernel) for r in batch})
+    # One ORF queue per strand for each (persistence flavour,
+    # forward-branch scope, ORF size: the ORF energies) of the batch,
+    # fewer than the batch's ORF passes.
+    strands = {
+        r.config.assume_persistent_strands: len(r.strand_values)
+        for r in batch
+    }
+    scopes = {
+        (
+            c.assume_persistent_strands,
+            c.allow_forward_branches,
+            c.orf_entries,
+        )
+        for c in SWEEP_CONFIGS
+    }
+    assert shared["orf_queues_built"] == sum(
+        strands[flag] for flag, _, _ in scopes
+    )
+    assert shared["orf_queues_built"] < sum(
+        len(r.strand_values) for r in batch
+    )
     assert alone["strand_passes_looked_up"] == 0
     assert alone["strand_passes_run"] == len(single.strand_values) * (
         2 if single.config.use_lrf else 1
     )
+    assert alone["orf_queues_built"] == len(single.strand_values)
     assert alone["annotated_kernels"] == 1
+
+
+#: SHA-256 over the annotation documents of every allocation of the
+#: 640-point tuner space (idealised axis included) of fuzz seeds 0-8,
+#: pinned from the allocator whose ORF passes each pushed their own
+#: heap.  Batched and single-config passes now both walk candidate
+#: queues, so the batch-vs-single equality tests cannot see a queue in
+#: the wrong order; this digest can.
+SPACE_ANNOTATION_DIGEST = (
+    "9795bf42835587418c142d8fac0583a27f9616b3611e830bf4281ff372f0abcc"
+)
+
+
+def test_space_annotations_are_pinned():
+    space = default_space(include_ideal=True)
+    configs = [space.config(a) for a in space.assignments()]
+    hasher = hashlib.sha256()
+    for seed in range(9):
+        kernel = generate_workload(seed, num_warps=1).kernel
+        for result in allocate_kernels_batch(kernel, configs):
+            document = annotations_to_dict(result.kernel)
+            hasher.update(json.dumps(document, sort_keys=True).encode())
+    assert hasher.hexdigest() == SPACE_ANNOTATION_DIGEST
+
+
+def test_results_sharing_a_kernel_get_their_own_counters():
+    """Compiled accounting walks each distinct annotated kernel of a
+    batch once: results that share one get equal counters, each its
+    own copy, and every software ``sim.account`` span says whether its
+    counters were copied from an earlier result."""
+    spec = generate_workload(320)
+    traces = build_traces(spec.kernel, spec.warp_inputs)
+    schemes = [scheme_for_config(config) for config in SWEEP_CONFIGS * 2]
+    allocations = allocate_schemes(traces.kernel, schemes)
+    TRACER.reset()
+    TRACER.configure(enabled=True)
+    try:
+        evaluations = account_traces_batch(
+            traces, schemes, allocations, use_compiled=True
+        )
+        spans = [s for s in TRACER.drain() if s.name == "sim.account"]
+    finally:
+        TRACER.reset()
+    oracle = account_traces_batch(
+        traces, schemes, allocations, use_compiled=False
+    )
+    by_kernel = {}
+    for evaluation, expected, span in zip(evaluations, oracle, spans):
+        group = by_kernel.setdefault(id(evaluation.allocation.kernel), [])
+        assert span.attributes["counters_shared"] == bool(group)
+        assert evaluation.counters == expected.counters
+        group.append(evaluation)
+    groups = [group for group in by_kernel.values() if len(group) > 1]
+    assert groups
+    for group in groups:
+        first, *rest = group
+        before = [evaluation.counters.copy() for evaluation in rest]
+        first.counters.add_read(Level.MRF, False, 1)
+        assert [evaluation.counters for evaluation in rest] == before
+        assert first.counters != before[0]

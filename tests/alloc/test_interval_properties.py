@@ -7,13 +7,15 @@ at slot N *can* (reads precede writes within a slot); a *closed*
 read-operand window owns its boundary slots outright (fuzz seed 320);
 and group allocation for wide values never hands out the same entry
 twice.  ``windows_conflict`` is the single source of truth; these
-tests pin ``_Entry``/``EntryFile`` to it and the conflict relation's
-own algebra (symmetry, reflexivity-for-closed).
+tests pin ``EntryFile`` to it and the conflict relation's own algebra
+(symmetry, reflexivity-for-closed).  A one-entry ``EntryFile`` stands
+for a single entry; ``EntryFile`` keeps occupancy as bitmasks, so the
+tests track the windows they place to build the expected verdicts.
 """
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.alloc.intervals import EntryFile, _Entry, windows_conflict
+from repro.alloc.intervals import EntryFile, windows_conflict
 
 # Layout positions are small non-negative ints; keep the domain tight
 # so hypothesis explores collisions rather than sparse misses.
@@ -33,12 +35,15 @@ def _interval_list(draw):
 
 
 def _filled(intervals):
-    """An _Entry greedily holding every compatible interval."""
-    entry = _Entry()
+    """A one-entry file greedily holding every compatible interval, and
+    the windows it placed."""
+    entry = EntryFile(1)
+    placed = []
     for begin, end in intervals:
-        if entry.available(begin, end):
-            entry.allocate(begin, end)
-    return entry
+        if entry.is_available(0, begin, end):
+            entry.allocate(0, begin, end)
+            placed.append((begin, end, False))
+    return entry, placed
 
 
 @given(_interval(), st.integers(min_value=0, max_value=40))
@@ -46,9 +51,9 @@ def test_same_begin_windows_always_conflict(interval, other_span):
     """Two values defined in the same slot both write the entry in that
     slot's write phase — they may never share, whatever their ends."""
     begin, end = interval
-    entry = _Entry()
-    entry.allocate(begin, end)
-    assert not entry.available(begin, begin + other_span)
+    entry = EntryFile(1)
+    entry.allocate(0, begin, end)
+    assert not entry.is_available(0, begin, begin + other_span)
 
 
 @given(_interval(), st.integers(min_value=0, max_value=40))
@@ -56,31 +61,30 @@ def test_back_to_back_windows_share(interval, tail):
     """A value last read at slot N coexists with a value defined at N:
     reads happen before writes within a slot."""
     begin, end = interval
-    entry = _Entry()
-    entry.allocate(begin, end)
+    entry = EntryFile(1)
+    entry.allocate(0, begin, end)
     if end != begin:  # same-begin is the write/write conflict above
-        assert entry.available(end, end + tail)
-        entry.allocate(end, end + tail)  # and allocating really works
+        assert entry.is_available(0, end, end + tail)
+        entry.allocate(0, end, end + tail)  # and allocating really works
     # The mirror image: a window ending exactly at this one's begin.
-    fresh = _Entry()
-    fresh.allocate(begin, end)
+    fresh = EntryFile(1)
+    fresh.allocate(0, begin, end)
     if begin >= 1 and begin - tail != begin:
         earlier = max(0, begin - max(1, tail))
         if earlier != begin:
-            assert fresh.available(earlier, begin)
+            assert fresh.is_available(0, earlier, begin)
 
 
 @given(_interval_list(), _interval(), st.booleans())
 def test_availability_matches_windows_conflict(intervals, probe, closed):
-    """available() gives one verdict per occupied window; the verdict
-    must match ``windows_conflict`` exactly."""
+    """is_available() gives one verdict for all placed windows; the
+    verdict must match ``windows_conflict`` against each exactly."""
     begin, end = probe
-    entry = _filled(intervals)
+    entry, placed = _filled(intervals)
     expected = not any(
-        windows_conflict((begin, end, closed), other)
-        for other in entry.occupied
+        windows_conflict((begin, end, closed), other) for other in placed
     )
-    assert entry.available(begin, end, closed=closed) == expected
+    assert entry.is_available(0, begin, end, closed=closed) == expected
 
 
 @given(_interval(), _interval(), st.booleans(), st.booleans())
@@ -96,14 +100,14 @@ def test_closed_window_owns_its_boundaries(interval, tail, other_closed):
     either endpoint — the seed-320 sharing is rejected in both
     directions, whatever the other window's flavour."""
     begin, end = interval
-    entry = _Entry()
-    entry.allocate(begin, end, closed=True)
+    entry = EntryFile(1)
+    entry.allocate(0, begin, end, closed=True)
     # Back-to-back at the end slot: rejected (the group's last read
     # still occupies the entry in that slot's read phase).
-    assert not entry.available(end, end + tail, closed=other_closed)
+    assert not entry.is_available(0, end, end + tail, closed=other_closed)
     # And at the begin slot, from the left.
     earlier = max(0, begin - tail)
-    assert not entry.available(earlier, begin, closed=other_closed)
+    assert not entry.is_available(0, earlier, begin, closed=other_closed)
 
 
 @given(_interval_list(), _interval(), st.integers(min_value=1, max_value=6))

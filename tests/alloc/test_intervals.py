@@ -1,8 +1,10 @@
 """Unit tests for the ORF/LRF entry-interval allocator."""
 
+import itertools
+
 import pytest
 
-from repro.alloc.intervals import EntryFile
+from repro.alloc.intervals import EntryFile, window_mask, windows_conflict
 
 
 class TestSingleEntry:
@@ -85,3 +87,31 @@ class TestMultiEntry:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             EntryFile(-1)
+
+
+class TestHalfSlotMasks:
+    #: Every window over positions 0-12, both flavours.
+    WINDOWS = [
+        (begin, end, closed)
+        for begin in range(13)
+        for end in range(begin, 13)
+        for closed in (False, True)
+    ]
+
+    def test_mask_verdicts_equal_windows_conflict(self):
+        """Exhaustively: an entry holding window ``a`` admits window
+        ``b`` exactly when ``windows_conflict`` says they may share."""
+        for a, b in itertools.product(self.WINDOWS, repeat=2):
+            entries = EntryFile(1)
+            entries.allocate(0, *a)
+            assert entries.is_available(0, *b) == (
+                not windows_conflict(a, b)
+            ), (a, b)
+
+    def test_mask_layout(self):
+        # Slot p: read phase bit 2p, write phase bit 2p + 1.
+        assert window_mask(2, 4) == 0b1111 << 5  # write 2 .. read 4
+        assert window_mask(3, 3) == 1 << 7  # a dead value: write 3
+        assert window_mask(2, 4, closed=True) == 0b111111 << 4
+        with pytest.raises(ValueError):
+            window_mask(4, 3)

@@ -200,3 +200,43 @@ class TestNumericOptionRanges:
             f"got {float(value)}\n"
         )
         assert not out.exists()
+
+
+class TestTargetErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["trace", "{tmp}/absent.asm"],
+                "repro: error: [Errno 2] No such file or directory: "
+                "'{tmp}/absent.asm'",
+            ),
+            (
+                ["trace", "fuzz:x", "--trace-jsonl", "{tmp}/t.jsonl",
+                 "--profile-out", "{tmp}/p.txt"],
+                "repro: error: bad fuzz target 'fuzz:x' "
+                "(expected fuzz:SEED)",
+            ),
+            (
+                ["tune", "fuzz:x", "--trace-out", "{tmp}/t.json",
+                 "--out", "{tmp}/tune.json"],
+                "repro: error: bad fuzz target 'fuzz:x' "
+                "(expected fuzz:SEED)",
+            ),
+        ],
+        ids=["trace-missing-file", "trace-jsonl-profile", "tune"],
+    )
+    def test_unresolved_target_writes_nothing(
+        self, argv, message, tmp_path, monkeypatch, capsys
+    ):
+        """A command whose target does not resolve fails before any
+        work, so it writes no trace (``repro trace`` defaults to
+        ``trace.json`` in the working directory), profile or output."""
+        monkeypatch.chdir(tmp_path)
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message.format(tmp=tmp_path) + "\n"
+        assert "wrote" not in captured.err
+        assert list(tmp_path.iterdir()) == []

@@ -12,7 +12,7 @@ from repro.sim.schemes import scheme_for_config
 from repro.tuner import run_tune
 from repro.tuner.objective import candidate_metrics, dominates
 from repro.tuner.space import default_space, space_from_dict
-from repro.workloads import get_workload
+from repro.workloads import BENCHMARK_NAMES, get_workload
 from repro.workloads.generators import generate_workload
 
 #: A branchy (divergent) fuzz kernel: hammocks and loops, so scheme
@@ -197,13 +197,13 @@ def test_tuner_observability_hooks():
 #: :func:`test_exhaustive_outcomes_are_bit_exact`.  Any change to an
 #: objective or MRF rate, down to the last bit, changes it.
 EXHAUSTIVE_OUTCOME_DIGEST = (
-    "7fa7e9c60ddf8a696d3b46ae7aacb4f7a32259c4f2ab99ee3d392fda5b2b4832"
+    "0e996b563e6304503d0c1b33920255608d2acb12c6426caf77d4df7d1ecf76fc"
 )
 
 
 def test_exhaustive_outcomes_are_bit_exact():
-    """Exhaustive 320-point tunes of three suite kernels reproduce every
-    candidate's objective and MRF accesses/instr bit for bit.
+    """Exhaustive 320-point tunes of all 36 suite kernels reproduce
+    every candidate's objective and MRF accesses/instr bit for bit.
 
     Exact floats are the contract: counter insertion order fixes the
     energy summation order, and a one-ULP drift can flip a tie between
@@ -212,7 +212,7 @@ def test_exhaustive_outcomes_are_bit_exact():
     space = default_space()
     by_key = {space.key(a): a for a in space.assignments()}
     hasher = hashlib.sha256()
-    for name in ("reduction", "scalarprod", "vectoradd"):
+    for name in BENCHMARK_NAMES:
         spec = get_workload(name)
         engine = ExperimentEngine()
         traces = build_traces(spec.kernel, spec.warp_inputs)
