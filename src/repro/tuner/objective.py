@@ -46,15 +46,18 @@ def candidate_metrics(
     evaluation: KernelEvaluation,
     config: AllocationConfig,
     baseline_pj: Optional[float] = None,
+    total_pj: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Deterministic per-candidate metrics from one evaluation record.
 
-    ``baseline_pj``, when given, must be :func:`baseline_energy` of the
-    same evaluation and config; a search prices it once per model.
+    ``baseline_pj`` and ``total_pj``, when given, must be
+    :func:`baseline_energy` and :func:`candidate_energy` of the same
+    evaluation and config; a search prices each once per (model,
+    counter items).
     """
-    model = config.energy_model()
     instructions = max(1, evaluation.dynamic_instructions)
-    total_pj = compute_energy(evaluation.counters, model).total_pj
+    if total_pj is None:
+        total_pj = candidate_energy(evaluation, config)
     if baseline_pj is None:
         baseline_pj = baseline_energy(evaluation, config)
     mrf = _mrf_accesses(evaluation.counters)
@@ -70,6 +73,13 @@ def candidate_metrics(
         ),
         "dynamic_instructions": evaluation.dynamic_instructions,
     }
+
+
+def candidate_energy(
+    evaluation: KernelEvaluation, config: AllocationConfig
+) -> float:
+    """The candidate's energy (pJ) under its own config's model."""
+    return compute_energy(evaluation.counters, config.energy_model()).total_pj
 
 
 def baseline_energy(

@@ -18,7 +18,10 @@ Observability: the whole search runs under a ``tuner.search`` span,
 each evaluated candidate gets a ``tuner.candidate`` span, and each
 oracle batch feeds a per-strategy histogram
 (``tuner_batch_candidates{strategy="..."}``) in the engine's metrics
-registry.
+registry.  The oracle prices each distinct result once per search and
+counts it in ``tuner_energy_misses`` (a repeat in
+``tuner_energy_memo_hits``); the ``tuner.search`` span carries both
+counts and ``oracle_calls``.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..alloc.allocator import AllocationConfig
 from ..bench import bench_section, metric_from_samples, write_report
@@ -37,6 +40,7 @@ from ..sim.runner import KernelEvaluation, TraceSet
 from ..sim.schemes import scheme_for_config
 from .objective import (
     baseline_energy,
+    candidate_energy,
     candidate_metrics,
     dominates,
     objective_value,
@@ -85,14 +89,19 @@ class SearchOracle:
 
     def __post_init__(self) -> None:
         self._memo: Dict[str, Outcome] = {}
-        #: (model, baseline counter items) -> baseline energy.  Every
-        #: candidate shares the trace set's baseline counters, so this
-        #: prices them once per model; the items (whose order fixes the
-        #: float sum) stay in the key so a replayed record cannot
-        #: change a bit.
+        #: (model, counter items) -> energy (pJ), for the candidates'
+        #: counters and for the baseline's.  Every candidate shares the
+        #: trace set's baseline counters, and configs that place alike
+        #: count alike, so each distinct result is priced once per
+        #: model; the items (whose order fixes the float sum) stay in
+        #: the key so a replayed record cannot change a bit.
+        self._energy_pj: Dict[Any, float] = {}
         self._baseline_pj: Dict[Any, float] = {}
         self.requested = 0
         self.repeat_hits = 0
+        self.calls = 0
+        self.energy_memo_hits = 0
+        self.energy_misses = 0
         self.best: Optional[Outcome] = None
         self.trace: List[Dict[str, Any]] = []
 
@@ -128,9 +137,10 @@ class SearchOracle:
         """Evaluate a generation; returns one outcome per assignment
         that was served (memoised repeats are free; fresh work is
         truncated to the remaining budget, in order)."""
+        self.calls += 1
         served: List[Outcome] = []
-        fresh: List[Assignment] = []
-        fresh_keys: List[str] = []
+        # key -> (assignment, config), in request order.
+        fresh: Dict[str, Tuple[Assignment, AllocationConfig]] = {}
         remaining = self.remaining
         for assignment in assignments:
             self.requested += 1
@@ -140,20 +150,18 @@ class SearchOracle:
                 self.repeat_hits += 1
                 served.append(hit)
                 continue
-            if key in fresh_keys or len(fresh) >= remaining:
+            if key in fresh or len(fresh) >= remaining:
                 continue
-            self.space.validate(assignment)
-            fresh.append(dict(assignment))
-            fresh_keys.append(key)
+            # Validates once: the config is built where it is checked.
+            fresh[key] = (dict(assignment), self.space.config(assignment))
         if fresh:
-            served.extend(self._evaluate_fresh(fresh, fresh_keys))
+            served.extend(self._evaluate_fresh(fresh))
         return served
 
     def _evaluate_fresh(
-        self, assignments: List[Assignment], keys: List[str]
+        self, fresh: Dict[str, Tuple[Assignment, AllocationConfig]]
     ) -> List[Outcome]:
-        configs = [self.space.config(a) for a in assignments]
-        schemes = [scheme_for_config(config) for config in configs]
+        schemes = [scheme_for_config(config) for _, config in fresh.values()]
         self.engine.metrics.observe(
             labeled_name(
                 "tuner_batch_candidates", strategy=self.strategy_name
@@ -163,8 +171,8 @@ class SearchOracle:
         )
         evaluations = self.engine.evaluate_batch(self.traces, schemes)
         outcomes: List[Outcome] = []
-        for assignment, key, config, scheme, evaluation in zip(
-            assignments, keys, configs, schemes, evaluations
+        for (key, (assignment, config)), scheme, evaluation in zip(
+            fresh.items(), schemes, evaluations
         ):
             with TRACER.span(
                 "tuner.candidate",
@@ -172,7 +180,10 @@ class SearchOracle:
                 key=key,
             ) as span:
                 metrics = candidate_metrics(
-                    evaluation, config, self._baseline(evaluation, config)
+                    evaluation,
+                    config,
+                    self._baseline(evaluation, config),
+                    self._energy(evaluation, config),
                 )
                 value = objective_value(self.objective, metrics)
                 if span is not None:
@@ -202,6 +213,20 @@ class SearchOracle:
             )
             outcomes.append(outcome)
         return outcomes
+
+    def _energy(
+        self, evaluation: KernelEvaluation, config: AllocationConfig
+    ) -> float:
+        key = (config.energy_model(), tuple(evaluation.counters.items()))
+        priced = self._energy_pj.get(key)
+        if priced is None:
+            self.energy_misses += 1
+            priced = self._energy_pj[key] = candidate_energy(
+                evaluation, config
+            )
+        else:
+            self.energy_memo_hits += 1
+        return priced
 
     def _baseline(
         self, evaluation: KernelEvaluation, config: AllocationConfig
@@ -316,7 +341,7 @@ def run_tune(
         objective=objective,
         seed=seed,
         budget=budget,
-    ):
+    ) as span:
         if baseline_in_space:
             # Seed the search with the paper-default config so the
             # best result can never regress below it.
@@ -335,6 +360,14 @@ def run_tune(
                 metrics=metrics,
             )
         search.search(space, oracle, rng)
+        pricing = {
+            "tuner_energy_memo_hits": oracle.energy_memo_hits,
+            "tuner_energy_misses": oracle.energy_misses,
+        }
+        for name, count in pricing.items():
+            engine.metrics.count(name, count)
+        if span is not None:
+            span.attributes.update(pricing, oracle_calls=oracle.calls)
 
     fresh = engine.metrics.counters.get(_FRESH_COUNTER, 0) - fresh_before
     explored = oracle.outcomes()

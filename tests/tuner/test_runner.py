@@ -1,15 +1,19 @@
 """run_tune end-to-end: determinism, memo reuse, payload invariants."""
 
 import hashlib
+import itertools
 import json
+import random
+import re
 
 import pytest
 
+import repro.tuner.objective as objective_module
 from repro.alloc.allocator import AllocationConfig
 from repro.engine import ExperimentEngine
 from repro.sim.runner import build_traces
 from repro.sim.schemes import scheme_for_config
-from repro.tuner import run_tune
+from repro.tuner import SearchOracle, make_strategy, run_tune
 from repro.tuner.objective import candidate_metrics, dominates
 from repro.tuner.space import default_space, space_from_dict
 from repro.workloads import BENCHMARK_NAMES, get_workload
@@ -181,16 +185,141 @@ def test_tuner_observability_hooks():
     engine = ExperimentEngine()
     TRACER.configure(enabled=True, jsonl_path=None)
     try:
-        run_tune(_traces(engine), budget=10, seed=2, engine=engine)
-        names = [span.name for span in TRACER.drain()]
+        payload = run_tune(
+            _traces(engine), strategy="exhaustive", budget=100,
+            engine=engine,
+        )
+        spans = TRACER.drain()
     finally:
         TRACER.enabled = False
+    names = [span.name for span in spans]
     assert "tuner.search" in names
     assert "tuner.candidate" in names
     histograms = engine.metrics.to_dict()["histograms"]
     assert any(
         name.startswith("tuner_batch_candidates") for name in histograms
     )
+    # The pricing memo reports like every other cache: one lookup per
+    # evaluated candidate, split into memo hits and fresh pricings.
+    counters = engine.metrics.counters
+    hits = counters["tuner_energy_memo_hits"]
+    misses = counters["tuner_energy_misses"]
+    assert hits + misses == payload["evaluations"]["distinct"] == 100
+    assert 0 < misses < 100
+    (search,) = [span for span in spans if span.name == "tuner.search"]
+    assert search.attributes["tuner_energy_memo_hits"] == hits
+    assert search.attributes["tuner_energy_misses"] == misses
+    # The paper-default seed, then 100 candidates 64 at a time.
+    assert search.attributes["oracle_calls"] == 3
+
+
+def _oracle(engine, traces, space, budget):
+    return SearchOracle(
+        engine=engine,
+        traces=traces,
+        space=space,
+        objective="energy",
+        budget=budget,
+        strategy_name="exhaustive",
+    )
+
+
+def test_search_prices_each_distinct_result_once(monkeypatch):
+    """The per-search pricing memo changes no bit of any metric, and
+    prices each distinct (model, counter items) pair exactly once."""
+    priced = []
+    compute_energy = objective_module.compute_energy
+
+    def counting(counters, model):
+        priced.append(model)
+        return compute_energy(counters, model)
+
+    engine = ExperimentEngine()
+    traces = _traces(engine)
+    space = default_space(include_ideal=True)
+    oracle = _oracle(engine, traces, space, space.valid_size())
+    monkeypatch.setattr(objective_module, "compute_energy", counting)
+    make_strategy("exhaustive").search(space, oracle, random.Random(0))
+    monkeypatch.undo()
+    pricings = len(priced)
+
+    outcomes = oracle.outcomes()
+    assert len(outcomes) == 640
+    candidates = set()
+    baselines = set()
+    for outcome in outcomes:
+        config = outcome.config
+        evaluation = engine.evaluate(traces, scheme_for_config(config))
+        # Recomputed without the memo, bit for bit.
+        assert outcome.metrics == candidate_metrics(evaluation, config)
+        model = config.energy_model()
+        candidates.add((model, tuple(evaluation.counters.items())))
+        baselines.add((model, tuple(evaluation.baseline.items())))
+    assert len(candidates) < len(outcomes)
+    assert pricings == len(candidates) + len(baselines)
+    assert oracle.energy_misses == len(candidates)
+    assert oracle.energy_memo_hits == len(outcomes) - len(candidates)
+
+
+def test_oracle_validates_each_fresh_assignment_once(monkeypatch):
+    engine = ExperimentEngine()
+    space = default_space()
+    oracle = _oracle(engine, _traces(engine), space, budget=8)
+    assignments = list(itertools.islice(space.assignments(), 6))
+    checked = []
+    violated_constraint = space.violated_constraint
+
+    def counting(assignment):
+        checked.append(space.key(assignment))
+        return violated_constraint(assignment)
+
+    monkeypatch.setattr(space, "violated_constraint", counting)
+    served = oracle.evaluate(assignments + assignments[:2])
+    assert len(served) == 6
+    assert checked == [space.key(a) for a in assignments]
+    oracle.evaluate(assignments)  # every one a repeat: no check
+    assert len(checked) == 6
+
+    invalid = dict(assignments[0], use_lrf=False, split_lrf=True)
+    with pytest.raises(
+        ValueError,
+        match=re.escape("invalid assignment: split_lrf requires use_lrf"),
+    ):
+        oracle.evaluate([invalid])
+    assert oracle.evaluated == 6
+
+
+#: Suite kernels for the width check: a dense loop nest, a branchy
+#: stencil, and a divergent escape-time loop.
+WIDTH_KERNELS = ("matrixmul", "hotspot", "mandelbrot")
+
+
+@pytest.mark.parametrize("target", WIDTH_KERNELS + (f"fuzz:{FUZZ_SEED}",))
+def test_batch_width_never_changes_a_tune(target):
+    """An exhaustive tune's payload, search trace included, does not
+    depend on how many candidates share one oracle call."""
+    if target.startswith("fuzz:"):
+        spec = generate_workload(FUZZ_SEED)
+        space = default_space(include_ideal=True)
+    else:
+        spec = get_workload(target)
+        space = default_space()
+    traces = build_traces(spec.kernel, spec.warp_inputs)
+    size = space.valid_size()
+    payloads = set()
+    for batch in (1, 16, 64, size):
+        payload = run_tune(
+            traces,
+            space=space,
+            strategy="exhaustive",
+            budget=size,
+            engine=ExperimentEngine(),
+            strategy_options={"batch": batch},
+        )
+        assert payload["evaluations"]["distinct"] == size
+        payload.pop("wall_time_s")
+        payloads.add(json.dumps(payload, sort_keys=True))
+    assert len(payloads) == 1
 
 
 #: SHA-256 over every explored candidate of the exhaustive tunes in

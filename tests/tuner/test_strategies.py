@@ -34,6 +34,7 @@ class FakeOracle:
         self.memo = {}
         self.eval_log = []
         self.notes = []
+        self.call_sizes = []
 
     @property
     def remaining(self):
@@ -56,6 +57,7 @@ class FakeOracle:
         )
 
     def evaluate(self, assignments):
+        self.call_sizes.append(len(assignments))
         served = []
         fresh = []
         for assignment in assignments:
@@ -132,6 +134,14 @@ def test_exhaustive_covers_tiny_space_exactly():
     assert sorted(oracle.eval_log) == sorted(
         space.key(a) for a in space.assignments()
     )
+
+
+def test_exhaustive_sweeps_64_candidates_per_oracle_call():
+    space = default_space()
+    oracle = FakeOracle(space, budget=space.valid_size())
+    make_strategy("exhaustive").search(space, oracle, random.Random(0))
+    assert oracle.call_sizes == [64] * 5
+    assert len(oracle.memo) == 320
 
 
 def test_evolutionary_handles_space_smaller_than_population():
