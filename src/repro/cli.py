@@ -430,10 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--timeout", type=float, default=30.0,
         help="per-request seconds before 504 (default 30)",
     )
-    serve.add_argument(
-        "--linger-ms", type=float, default=0.0,
-        help="micro-batch coalescing window in ms (default 0)",
-    )
     serve.add_argument("--cache-dir", default=None)
     serve.add_argument("--cache-max-bytes", type=int, default=None)
     serve.add_argument("--metrics-out", default=None)
@@ -954,7 +950,6 @@ def _dispatch(args) -> int:
             executor=args.executor,
             max_pending=args.max_pending,
             request_timeout_s=args.timeout,
-            linger_s=args.linger_ms / 1e3,
             cache_dir=args.cache_dir,
             cache_max_bytes=args.cache_max_bytes,
             announce=True,

@@ -10,8 +10,7 @@ Every engine run accumulates one :class:`RunMetrics`.  The JSON schema
       "counters": {"record_memo_hits": 120, "record_disk_hits": 36,
                    "record_misses": 42, "trace_cache_hits": 36,
                    "jobs_submitted": 42, "jobs_completed": 42, ...},
-      "gauges":   {"record_memo_entries": 78, "service_in_flight": 3,
-                   "service_queue_depth": 1},
+      "gauges":   {"record_memo_entries": 78, "service_in_flight": 3},
       "histograms": {
         "http_request_seconds": {"bounds": [...], "bucket_counts": [...],
                                  "sum": 1.25, "count": 240}
@@ -20,8 +19,8 @@ Every engine run accumulates one :class:`RunMetrics`.  The JSON schema
 
 Stage values are wall-clock seconds summed over all entries into that
 stage; counters are monotone event counts; gauges are point-in-time
-samples (last write wins — the allocation service publishes its queue
-depth and in-flight count here); histograms are fixed-bucket latency
+samples (last write wins — the allocation service publishes its
+in-flight count here); histograms are fixed-bucket latency
 distributions (:class:`repro.obs.registry.Histogram`).
 
 Cache counters follow one pattern per memo name — ``record`` and
@@ -71,6 +70,9 @@ SCHEMA_VERSION = 3
 #: Counter prefixes that belong to the service layer (request dedup,
 #: memoisation in front of the engine) rather than the engine caches.
 SERVICE_COUNTER_PREFIXES = ("service_", "inflight_")
+
+#: Counter prefix of the tuner's per-search pricing memo.
+TUNER_COUNTER_PREFIX = "tuner_"
 
 
 @dataclass
@@ -174,34 +176,33 @@ class RunMetrics:
         """One-line human summary for CLI stderr.
 
         Engine cache hits/misses exclude service-layer dedup counters
-        (``service_*``, ``inflight_*``) — those are reported separately
-        so the engine cache line is not inflated by request dedup.
+        (``service_*``, ``inflight_*``) and the tuner's pricing memo
+        (``tuner_*``) — each group is reported on its own, and only
+        when non-zero, so the engine cache line counts engine caches.
         """
         stage_text = " ".join(
             f"{name}={seconds:.2f}s"
             for name, seconds in sorted(self.stages.items())
         )
-        engine_hits = engine_misses = 0
-        service_hits = service_misses = 0
+        # group -> [hits, misses]
+        totals = {"cache": [0, 0], "service": [0, 0], "tuner": [0, 0]}
         for name, count in self.counters.items():
-            is_service = name.startswith(SERVICE_COUNTER_PREFIXES)
             if name.endswith("_hits"):
-                if is_service:
-                    service_hits += count
-                else:
-                    engine_hits += count
+                slot = 0
             elif name.endswith("_misses"):
-                if is_service:
-                    service_misses += count
-                else:
-                    engine_misses += count
-        text = (
-            f"engine: {stage_text} cache_hits={engine_hits} "
-            f"cache_misses={engine_misses}"
-        )
-        if service_hits or service_misses:
-            text += (
-                f" service_hits={service_hits}"
-                f" service_misses={service_misses}"
-            )
+                slot = 1
+            else:
+                continue
+            if name.startswith(SERVICE_COUNTER_PREFIXES):
+                group = "service"
+            elif name.startswith(TUNER_COUNTER_PREFIX):
+                group = "tuner"
+            else:
+                group = "cache"
+            totals[group][slot] += count
+        hits, misses = totals.pop("cache")
+        text = f"engine: {stage_text} cache_hits={hits} cache_misses={misses}"
+        for group, (hits, misses) in totals.items():
+            if hits or misses:
+                text += f" {group}_hits={hits} {group}_misses={misses}"
         return text

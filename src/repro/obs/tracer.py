@@ -1,27 +1,23 @@
 """Span-based tracing with ``contextvars`` propagation (stdlib only).
 
 One process-wide :data:`TRACER` records hierarchical spans: the
-service request path (httpd → normalize → batcher → pool worker) and
-the engine pipeline (parse → strand partition → allocation → trace sim
-→ accounting) both open spans around their stages.  Tracing is **off
+service request path (request → execute → pool worker) and the engine
+pipeline (parse → strand partition → allocation → trace sim →
+accounting) both open spans around their stages.  Tracing is **off
 by default**; a disabled tracer's :meth:`Tracer.span` is a single
 attribute check returning a shared no-op context manager, so traced
 call sites cost nothing measurable in production paths.
 
 Parenting is carried in a :mod:`contextvars` variable, so nesting
-follows the logical flow — across ``await`` points and asyncio tasks —
-rather than the call stack.  Where context does not propagate by
-itself, a trace moves as a small ``{"trace_id", "span_id", "pid"}``
-carrier from :meth:`Tracer.current_carrier`:
-
-* :meth:`Tracer.attach` parents spans under a carrier that crossed a
-  queue (the service batcher runs each job under its submitter's
-  carrier, so a job joins its request's trace);
-* :meth:`Tracer.wrap` captures the submitting context and replays it
-  in a pool thread (same-process propagation);
-* :func:`traced_call` takes a carrier into a worker *process*, records
-  spans there, and returns them alongside the result for the parent to
-  :meth:`Tracer.ingest`.
+follows the logical flow — across ``await`` points, and into an
+asyncio task, which inherits its creator's context — rather than the
+call stack.  Where context does not propagate by itself (an executor
+thread, a worker process), a trace moves as a small
+``{"trace_id", "span_id", "pid"}`` carrier from
+:meth:`Tracer.current_carrier`: :func:`traced_call` runs a function
+under it (:meth:`Tracer.attach`), records the spans there, and returns
+them from a worker *process* alongside the result for the parent to
+:meth:`Tracer.ingest`.
 
 Span identifiers are deterministic per process (``pid.sequence``), so
 traces are reproducible and collision-free across pool workers.
@@ -252,16 +248,6 @@ class Tracer:
             yield
         finally:
             _CURRENT.reset(token)
-
-    def wrap(self, fn):
-        """Bind ``fn`` to the *submitting* context so spans opened in a
-        pool thread nest under the caller's active span."""
-        ctx = contextvars.copy_context()
-
-        def bound(*args: Any, **kwargs: Any) -> Any:
-            return ctx.run(fn, *args, **kwargs)
-
-        return bound
 
     @contextmanager
     def recording(

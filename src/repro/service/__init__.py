@@ -11,9 +11,9 @@ The package layers, bottom up:
   of :mod:`repro.engine.jobs`;
 * :mod:`repro.service.workers` — the forked worker pool the server's
   event loop drives over socketpairs, with respawn of dead workers;
-* :mod:`repro.service.batcher` — micro-batching dispatcher with
-  in-flight deduplication, bounded admission (backpressure), and
-  per-request timeouts;
+* :mod:`repro.service.batcher` — job admission: in-flight
+  deduplication, bounded admission (backpressure), and per-request
+  timeouts; an admitted job starts at once;
 * :mod:`repro.service.httpd` — a hand-rolled HTTP/1.1 server, one
   ``asyncio.Protocol`` per connection (stdlib only, no
   ``http.server``);

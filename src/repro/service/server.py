@@ -15,8 +15,9 @@ A request flows: stored reply bytes under the raw body's
 malformed, parse errors included) → result memo under the request
 fingerprint, then :class:`~repro.engine.cache.DiskCache` kind
 ``"service"`` → the :class:`~repro.service.batcher.JobBatcher`
-(in-flight dedup, bounded admission → 429, micro-batch dispatch) → a
-forked worker of the :class:`~repro.service.workers.WorkerPool` running
+(in-flight dedup, bounded admission → 429, per-request timeout → 504),
+which starts the job at once → a forked worker of the
+:class:`~repro.service.workers.WorkerPool` running
 :func:`~repro.service.pipeline.run_service_job` → memo + disk store.
 Results are pure functions of the request fingerprint, so every cache
 layer is transparent: a memo hit returns byte-identical payloads to a
@@ -90,8 +91,6 @@ class ServiceConfig:
     max_pending: int = 64
     #: Per-request wall-clock budget before 504.
     request_timeout_s: float = 30.0
-    #: Micro-batch coalescing window (0 = one loop iteration).
-    linger_s: float = 0.0
     cache_dir: Optional[str] = None
     cache_max_bytes: Optional[int] = None
     max_body_bytes: int = 1 << 20
@@ -182,10 +181,8 @@ class ServiceServer:
         self._batcher = JobBatcher(
             self._run_job,
             max_pending=self.config.max_pending,
-            linger_s=self.config.linger_s,
             metrics=self.metrics,
         )
-        self._batcher.start()
         self._http = AsyncHttpServer(
             self.handle,
             self.config.host,
@@ -423,7 +420,6 @@ class ServiceServer:
             "version": __version__,
             "executor": self.executor_kind,
             "in_flight": batcher.pending if batcher else 0,
-            "queue_depth": batcher.queue_depth if batcher else 0,
             "uptime_seconds": round(
                 time.monotonic() - self._started_monotonic, 3
             ),
@@ -435,9 +431,6 @@ class ServiceServer:
         if batcher is not None:
             self.metrics.gauge(
                 "service_in_flight", float(batcher.pending)
-            )
-            self.metrics.gauge(
-                "service_queue_depth", float(batcher.queue_depth)
             )
         self.metrics.gauge("service_draining", float(self.draining))
         return self.metrics.to_dict()

@@ -76,6 +76,7 @@ class ParameterSpace:
         self.constraints = tuple(constraints)
         self.names: Tuple[str, ...] = tuple(names)
         self._by_name = {p.name: p for p in self.parameters}
+        self._valid: Optional[List[Assignment]] = None
 
     # -- membership --------------------------------------------------------
 
@@ -89,7 +90,7 @@ class ParameterSpace:
 
     def valid_size(self) -> int:
         """Number of assignments surviving the constraints."""
-        return sum(1 for _ in self.assignments())
+        return len(self._valid_assignments())
 
     def violated_constraint(
         self, assignment: Assignment
@@ -136,14 +137,24 @@ class ParameterSpace:
 
     # -- enumeration and sampling ------------------------------------------
 
+    def _valid_assignments(self) -> List[Assignment]:
+        """The valid assignments in space order, enumerated once."""
+        if self._valid is None:
+            valid = []
+            for combo in itertools.product(
+                *[p.values for p in self.parameters]
+            ):
+                assignment = dict(zip(self.names, combo))
+                if self.is_valid(assignment):
+                    valid.append(assignment)
+            self._valid = valid
+        return self._valid
+
     def assignments(self) -> Iterator[Assignment]:
-        """Every valid assignment, in deterministic space order."""
-        for combo in itertools.product(
-            *[p.values for p in self.parameters]
-        ):
-            assignment = dict(zip(self.names, combo))
-            if self.is_valid(assignment):
-                yield assignment
+        """Every valid assignment, in deterministic space order (a
+        fresh dict each, so a caller may keep or change it)."""
+        for assignment in self._valid_assignments():
+            yield dict(assignment)
 
     def random_assignment(self, rng) -> Assignment:
         """A uniformly-drawn valid assignment (rejection sampling)."""
@@ -237,20 +248,30 @@ _DEFAULT_AXES: Tuple[Tuple[str, Tuple[Any, ...]], ...] = (
 )
 
 
-def default_space(include_ideal: bool = False) -> ParameterSpace:
-    """The full AllocationConfig design space.
-
-    ``include_ideal`` opens the Section 7 idealisation axis
-    (``assume_persistent_strands``), which is not realisable in
-    hardware; the default space pins it to False so a tuned config is
-    always buildable.
-    """
+def _build_default_space(include_ideal: bool) -> ParameterSpace:
     parameters = []
     for name, values in _DEFAULT_AXES:
         if name == "assume_persistent_strands" and not include_ideal:
             values = (False,)
         parameters.append(Parameter(name, values))
     return ParameterSpace(tuple(parameters), DEFAULT_CONSTRAINTS)
+
+
+#: One shared space per ``include_ideal`` flag, so each enumerates its
+#: valid assignments once per process.
+_DEFAULT_SPACES = {flag: _build_default_space(flag) for flag in (False, True)}
+
+
+def default_space(include_ideal: bool = False) -> ParameterSpace:
+    """The full AllocationConfig design space (one shared object per
+    flag).
+
+    ``include_ideal`` opens the Section 7 idealisation axis
+    (``assume_persistent_strands``), which is not realisable in
+    hardware; the default space pins it to False so a tuned config is
+    always buildable.
+    """
+    return _DEFAULT_SPACES[bool(include_ideal)]
 
 
 def space_from_dict(obj: Dict[str, Any]) -> ParameterSpace:
@@ -301,6 +322,6 @@ def space_from_dict(obj: Dict[str, Any]) -> ParameterSpace:
             values = tuple(v for v in full_values if v in chosen)
         parameters.append(Parameter(name, values))
     space = ParameterSpace(tuple(parameters), DEFAULT_CONSTRAINTS)
-    if not any(True for _ in space.assignments()):
+    if not space.valid_size():
         raise ValueError("space has no valid assignments")
     return space

@@ -60,11 +60,16 @@ def test_summary_separates_service_counters_from_engine_cache():
     metrics.count("service_memo_hits", 7)
     metrics.count("inflight_dedup_hits", 3)
     metrics.count("service_memo_misses", 1)
+    metrics.count("tuner_energy_memo_hits", 260)
+    metrics.count("tuner_energy_misses", 60)
     summary = metrics.summary()
     assert "cache_hits=10" in summary
     assert "cache_misses=2" in summary
     assert "service_hits=10" in summary  # 7 memo + 3 in-flight dedup
     assert "service_misses=1" in summary
+    # The tuner's pricing memo is its own group, not engine cache.
+    assert "tuner_hits=260" in summary
+    assert "tuner_misses=60" in summary
 
 
 def test_summary_omits_service_line_when_unused():

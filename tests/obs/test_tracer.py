@@ -1,7 +1,7 @@
 """Tracer unit tests: nesting, propagation, and the disabled fast path."""
 
 import json
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -89,31 +89,6 @@ def test_drain_returns_and_clears():
     drained = tracer.drain()
     assert [s.name for s in drained] == ["only"]
     assert tracer.spans == []
-
-
-def test_wrap_propagates_context_into_thread_pool():
-    tracer = Tracer()
-    tracer.configure(enabled=True)
-
-    def work():
-        with tracer.span("pool.work"):
-            pass
-        return "ok"
-
-    with tracer.span("submit") as submit:
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            # Unwrapped: the pool thread has no inherited context.
-            assert pool.submit(work).result() == "ok"
-            # Wrapped: spans nest under the submitting span.
-            assert pool.submit(tracer.wrap(work)).result() == "ok"
-
-    by_name = {}
-    for span in tracer.spans:
-        by_name.setdefault(span.name, []).append(span)
-    bare, wrapped = by_name["pool.work"]
-    assert bare.parent_id is None
-    assert wrapped.parent_id == submit.span_id
-    assert wrapped.trace_id == submit.trace_id
 
 
 def test_traced_call_round_trips_carrier_in_process_pool():

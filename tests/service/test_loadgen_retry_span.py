@@ -65,6 +65,8 @@ async def _stub_handler(hits, reader, writer):
             await writer.drain()
     except (ConnectionError, asyncio.IncompleteReadError):
         return
+    finally:
+        writer.close()
 
 
 def test_retried_request_is_one_span_with_retry_count():

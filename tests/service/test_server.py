@@ -3,11 +3,12 @@
 Each test boots a :class:`ServiceServer` on an ephemeral port in a
 background thread (thread executor — same results as the process pool,
 no fork cost) and talks real HTTP through the client library.  The
-concurrency behaviours are made deterministic with the batcher's
-``linger_s`` coalescing window rather than timing races: a linger
-longer than the request timeout forces a 504, a linger plus
-``max_pending=1`` forces a 429, and a shutdown during the linger
-proves drain completes in-flight work.
+concurrency behaviours are made deterministic by holding the job
+rather than by timing races: the ``held_job`` fixture blocks
+``run_service_job`` (which the thread executor runs in-process) until
+the test releases it.  A held job outlives a short request timeout
+(504), fills ``max_pending=1`` (429), collects identical requests
+(in-flight dedup), and keeps a drain waiting until it completes.
 """
 
 import contextlib
@@ -51,6 +52,34 @@ def running_server(**overrides):
 
 def client_for(server: ServiceServer) -> ServiceClient:
     return ServiceClient(port=server.port)
+
+
+@pytest.fixture
+def held_job(monkeypatch):
+    """Block every service job until the test sets the returned event."""
+    import repro.service.server as server_module
+
+    release = threading.Event()
+    real = server_module.run_service_job
+
+    def held(payload):
+        assert release.wait(10), "held job was never released"
+        return real(payload)
+
+    monkeypatch.setattr(server_module, "run_service_job", held)
+    yield release
+    release.set()
+
+
+def wait_until(condition, what, budget_s=5.0):
+    deadline = time.monotonic() + budget_s
+    while not condition():
+        assert time.monotonic() < deadline, what
+        time.sleep(0.01)
+
+
+def counter(server, name):
+    return server.metrics.counters.get(name, 0)
 
 
 def test_health_routing_and_errors():
@@ -151,16 +180,19 @@ def test_parse_error_is_clean_400():
         assert status == 400  # invalid JSON body, still a clean error
 
 
-def test_concurrent_identical_requests_share_one_computation():
+def test_concurrent_identical_requests_share_one_computation(held_job):
     workers = 6
-    with running_server(linger_s=0.3) as server:
+    with running_server() as server:
         clients = [client_for(server) for _ in range(workers)]
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(
-                    lambda c: c.evaluate(**EVAL_BODY), clients
-                )
+            replies = [pool.submit(c.evaluate, **EVAL_BODY) for c in clients]
+            wait_until(
+                lambda: counter(server, "inflight_dedup_hits")
+                == workers - 1,
+                "identical requests never joined the held job",
             )
+            held_job.set()
+            results = [reply.result() for reply in replies]
         fingerprints = {r["fingerprint"] for r in results}
         assert len(fingerprints) == 1
         payloads = {
@@ -179,23 +211,24 @@ def test_concurrent_identical_requests_share_one_computation():
         assert counters.get("inflight_dedup_hits", 0) >= 1
 
 
-def test_timeout_returns_504():
-    # Linger longer than the request budget: the wait deterministically
-    # expires while the job is still coalescing.
-    with running_server(linger_s=0.6, request_timeout_s=0.05) as server:
+def test_timeout_returns_504(held_job):
+    # The job is held past the request budget: the wait
+    # deterministically expires while the job is still running.
+    with running_server(request_timeout_s=0.05) as server:
         with pytest.raises(ServiceError) as excinfo:
             client_for(server).evaluate(**EVAL_BODY)
         assert excinfo.value.status == 504
         assert excinfo.value.error_type == "timeout"
-        # The computation survives the waiter: once the linger window
-        # closes, the same request is served from the result memo.
-        time.sleep(0.8)
+        # The computation survives the waiter: once the job is
+        # released, the same request is served from the result memo.
+        held_job.set()
+        wait_until(lambda: server._batcher.pending == 0, "job never ended")
         result = client_for(server).evaluate(**EVAL_BODY)
         assert result["served_from"] == "cache"
 
 
-def test_backpressure_returns_429_with_retry_after():
-    with running_server(linger_s=0.8, max_pending=1) as server:
+def test_backpressure_returns_429_with_retry_after(held_job):
+    with running_server(max_pending=1) as server:
         slow = {}
 
         def occupy():
@@ -203,10 +236,9 @@ def test_backpressure_returns_429_with_retry_after():
 
         thread = threading.Thread(target=occupy)
         thread.start()
-        deadline = time.monotonic() + 5.0
-        while server._batcher.pending == 0:
-            assert time.monotonic() < deadline, "first job never admitted"
-            time.sleep(0.01)
+        wait_until(
+            lambda: server._batcher.pending == 1, "first job never admitted"
+        )
 
         # A *distinct* job beyond the admission bound is shed.
         connection = http.client.HTTPConnection(
@@ -226,16 +258,23 @@ def test_backpressure_returns_429_with_retry_after():
         assert payload["error"]["retry_after"] == 1.0
         connection.close()
 
-        # An *identical* job rides the in-flight future for free.
-        dup = client_for(server).evaluate(**EVAL_BODY)
+        # An *identical* job rides the in-flight job for free.
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            reply = pool.submit(client_for(server).evaluate, **EVAL_BODY)
+            wait_until(
+                lambda: counter(server, "inflight_dedup_hits") == 1,
+                "identical job never joined the held one",
+            )
+            held_job.set()
+            dup = reply.result()
         assert dup["record"]["dynamic_instructions"] > 0
 
         thread.join(10)
         assert slow["result"]["served_from"] == "computed"
 
 
-def test_graceful_drain_completes_inflight_work():
-    with running_server(linger_s=5.0) as server:
+def test_graceful_drain_completes_inflight_work(held_job):
+    with running_server() as server:
         holder = {}
 
         def request():
@@ -243,18 +282,18 @@ def test_graceful_drain_completes_inflight_work():
 
         thread = threading.Thread(target=request)
         thread.start()
-        deadline = time.monotonic() + 5.0
-        while server._batcher.pending == 0:
-            assert time.monotonic() < deadline, "job never admitted"
-            time.sleep(0.01)
+        wait_until(lambda: server._batcher.pending == 1, "job never admitted")
 
-        # Shutdown lands while the job is still lingering in the
-        # batcher; drain must flush and answer it, not drop it.
-        started = time.monotonic()
+        # Shutdown lands while the job is still held; drain must wait
+        # for it and answer the request, not drop it.
         server.request_shutdown()
+        time.sleep(0.2)
+        assert server.draining
+        assert server._batcher.pending == 1
+        assert thread.is_alive(), "request answered before the job ended"
+        held_job.set()
         thread.join(10)
         assert not thread.is_alive()
-        assert time.monotonic() - started < 4.0, "drain waited out linger"
         assert holder["result"]["served_from"] == "computed"
         assert holder["result"]["record"]["dynamic_instructions"] > 0
 

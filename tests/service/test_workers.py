@@ -154,7 +154,8 @@ def test_process_pool_replies_match_the_pipeline_then_drain_clean():
         assert worker.pid in pids and execute.pid == os.getpid()
         assert worker.parent_id == execute.span_id
         assert worker.trace_id == execute.trace_id
-        # The job joins its request's trace across the batcher's queue.
+        # The job's task inherits its request's context, so it joins
+        # the request's trace.
         by_id = {s.span_id: s for s in spans}
         ancestors = [execute]
         while ancestors[-1].parent_id is not None:

@@ -124,6 +124,19 @@ class TestServeCommand:
         err = capsys.readouterr().err
         assert err == f"repro: error: {flag} must be at least 1, got 0\n"
 
+    def test_serve_has_no_linger_flag(self, capsys):
+        # An admitted job starts at once; there is no batch window.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--port", "0", "--linger-ms", "5"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines()
+                  if "error:" in line]
+        assert errors == [
+            "repro: error: unrecognized arguments: --linger-ms 5"
+        ]
+
 
 class TestEngineFlags:
     def test_tune_has_no_jobs_flag(self, tmp_path, capsys):

@@ -289,6 +289,33 @@ def test_oracle_validates_each_fresh_assignment_once(monkeypatch):
     assert oracle.evaluated == 6
 
 
+def test_exhaustive_tune_enumerates_the_shared_default_space_once(
+    monkeypatch,
+):
+    space = default_space()
+    assert default_space() is space
+    assert default_space(include_ideal=True) is default_space(True)
+    assert default_space(include_ideal=True) is not space
+    assert space.valid_size() == 320  # enumerated before counting
+    checked = []
+    violated_constraint = space.violated_constraint
+
+    def counting(assignment):
+        checked.append(space.key(assignment))
+        return violated_constraint(assignment)
+
+    monkeypatch.setattr(space, "violated_constraint", counting)
+    engine = ExperimentEngine()
+    payload = run_tune(
+        _traces(engine), strategy="exhaustive", budget=320, engine=engine
+    )
+    assert payload["evaluations"]["distinct"] == 320
+    # One check per fresh assignment (the baseline's included), plus
+    # the baseline's membership test; the sweep itself checks nothing.
+    assert len(checked) == 321
+    assert checked[0] == checked[1] == space.key(AllocationConfig().to_dict())
+
+
 #: Suite kernels for the width check: a dense loop nest, a branchy
 #: stencil, and a divergent escape-time loop.
 WIDTH_KERNELS = ("matrixmul", "hotspot", "mandelbrot")
