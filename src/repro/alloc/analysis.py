@@ -18,9 +18,12 @@ annotate their *own* clones, resolving instruction refs by position);
 :func:`kernel_analysis` memoizes by ``(content fingerprint,
 assume_persistent)`` in a bounded LRU :class:`~repro.memo.Memo` of
 :data:`ANALYSIS_MEMO_ENTRIES` analyses, so a kernel in steady use stays
-cached while one-shot kernels (fuzzing, a service fed distinct IR) age
-out.  Attaching a :class:`~repro.obs.provenance.ProvenanceRecorder`
-to an allocation never touches this memo: every provenance event is
+cached.  A caller that knows a kernel is one-shot drops its analyses
+with :func:`forget_analysis` instead of letting them age out: a service
+job on IR text forgets the analyses it made (about 120 KB each) when it
+ends, since a distinct kernel is never analysed again.  Attaching a
+:class:`~repro.obs.provenance.ProvenanceRecorder` to an allocation
+never touches this memo: every provenance event is
 emitted by the per-config levels pass, so recorded and unrecorded runs
 share the same cached analysis.
 """
@@ -28,7 +31,7 @@ share the same cached analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import Collection, List, Tuple
 
 from ..analysis.cfg import ControlFlowGraph
 from ..analysis.reaching import ReachingDefinitions
@@ -121,6 +124,24 @@ def kernel_analysis(
         hit = analyze_kernel(kernel, assume_persistent)
         _ANALYSES.put(key, hit)
     return hit
+
+
+def memoized_flavours(kernel: Kernel) -> Tuple[bool, ...]:
+    """The ``assume_persistent`` flavours of ``kernel``'s content whose
+    analysis the memo holds (a lookup that neither hits nor reorders)."""
+    fingerprint = kernel.content_fingerprint()
+    return tuple(
+        flag for flag in (False, True) if (fingerprint, flag) in _ANALYSES
+    )
+
+
+def forget_analysis(kernel: Kernel, keep: Collection[bool] = ()) -> None:
+    """Drop the memoized analyses of ``kernel``'s content, except the
+    ``assume_persistent`` flavours in ``keep``."""
+    fingerprint = kernel.content_fingerprint()
+    for flag in (False, True):
+        if flag not in keep:
+            _ANALYSES.discard((fingerprint, flag))
 
 
 def clear_analysis_cache() -> None:

@@ -28,8 +28,8 @@ Cache counters follow one pattern per memo name — ``record`` and
 
 * ``<name>_memo_hits`` — served from the in-memory memo;
 * ``<name>_disk_hits`` — served from the on-disk cache;
-* ``<name>_misses`` — computed fresh (``service`` counts
-  ``jobs_executed`` instead);
+* ``<name>_misses`` — computed fresh (``service_misses`` equals the
+  server's ``jobs_executed``);
 * ``<name>_evictions`` — entries the bounded memo dropped;
 * gauge ``<name>_memo_entries`` — entries held now.
 

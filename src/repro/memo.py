@@ -67,10 +67,21 @@ class Memo(Generic[V]):
                 self.metrics.count(f"{self.name}_evictions", evicted)
             self._publish_size()
 
+    def discard(self, key: Hashable) -> None:
+        """Drop ``key``'s entry, if there is one."""
+        with self._lock:
+            if key in self._entries:
+                del self._entries[key]
+                self._publish_size()
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._publish_size()
+
+    def __contains__(self, key: Hashable) -> bool:
+        """Whether ``key`` has an entry; neither a hit nor a use."""
+        return key in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)

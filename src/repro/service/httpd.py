@@ -21,14 +21,14 @@ the connection stops reading; while the client is not reading replies
 
 The server is handler-agnostic: one async callable maps
 :class:`HttpRequest` to :class:`HttpResponse`.  Handler exceptions
-become opaque 500s (the traceback stays server-side) and keep the
-connection.  A framing error gets one typed reply, counted as
-``http_protocol_errors``, and closes the connection: 400 (malformed
-request line, header or ``Content-Length``), 413 (body over
-``max_body_bytes``), 414 (request line over :data:`_READ_LIMIT`), 431
-(a header line over it, or over :data:`_MAX_HEADERS` headers) and 501
-(any ``Transfer-Encoding``: chunked bodies are not supported, so the
-body's end is unknown).
+become opaque 500s (no traceback reaches the client), counted as
+``http_500``, and keep the connection.  A framing error gets one typed
+reply, counted as ``http_protocol_errors``, and closes the connection:
+400 (malformed request line, header or ``Content-Length``), 413 (body
+over ``max_body_bytes``), 414 (request line over :data:`_READ_LIMIT`),
+431 (a header line over it, or over :data:`_MAX_HEADERS` headers) and
+501 (any ``Transfer-Encoding``: chunked bodies are not supported, so
+the body's end is unknown).
 
 Reads are bounded in time: a connection waits at most
 :data:`IDLE_TIMEOUT_S` for its next request line (keep-alive idling
@@ -73,6 +73,7 @@ REASONS = {
     405: "Method Not Allowed",
     413: "Payload Too Large",
     414: "URI Too Long",
+    422: "Unprocessable Entity",
     429: "Too Many Requests",
     431: "Request Header Fields Too Large",
     500: "Internal Server Error",
@@ -148,7 +149,8 @@ class AsyncHttpServer:
         self.port = port
         self.max_body_bytes = max_body_bytes
         #: Counter sink (anything with ``count(name)``) for framing
-        #: errors, read timeouts and refused connections.
+        #: errors, read timeouts, refused connections and handler
+        #: exceptions.
         self.metrics = metrics
         self._server: Optional[asyncio.AbstractServer] = None
         self._connections: Set[_Connection] = set()
@@ -338,6 +340,7 @@ class _Connection(asyncio.Protocol):
             self.close()
             raise
         except Exception:
+            server._count("http_500")
             response = json_response(
                 500,
                 {"error": {

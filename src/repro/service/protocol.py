@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.hashing import dataclass_fingerprint, digest, json_fingerprint
-from ..ir.parser import AsmSyntaxError, parse_kernels
+from ..ir.parser import parse_kernels
 from ..ir.registers import parse_register
 from ..sim.executor import WarpInput
 from ..sim.schemes import Scheme, SchemeKind
@@ -100,10 +100,21 @@ class BadRequest(ServiceFault):
 
 
 class ParseError(BadRequest):
-    """The kernel text did not parse; the message is the clean
-    :class:`AsmSyntaxError` diagnostic, never a traceback."""
+    """The kernel text is not one well-formed kernel: a syntax error, a
+    bad register name, or a structural fault (a duplicate block label,
+    a branch to nowhere).  The message is the parser's or validator's
+    diagnostic, never a traceback."""
 
     error_type = "parse_error"
+
+
+class KernelExecutionError(ServiceFault):
+    """The kernel parsed but cannot run on the request's warps: it reads
+    a register nothing wrote or exceeds its instruction budget.  The
+    same request fails the same way, so it is not worth a retry."""
+
+    status = 422
+    error_type = "kernel_execution_error"
 
 
 class Overloaded(ServiceFault):
@@ -469,11 +480,13 @@ def _parse_kernel_request(
     The parsed kernel is discarded — workers re-parse from the text —
     but parsing here means malformed requests fail with 400 before
     anything is queued, and the fingerprint is the *content*
-    fingerprint, so re-spellings of one kernel deduplicate.
+    fingerprint, so re-spellings of one kernel deduplicate.  Syntax
+    errors, bad register names and structural faults are all
+    ``ValueError`` subclasses.
     """
     try:
         kernels = parse_kernels(kernel_text)
-    except AsmSyntaxError as error:
+    except ValueError as error:
         raise ParseError(str(error)) from None
     if len(kernels) != 1:
         raise ParseError(

@@ -60,7 +60,7 @@ from ..obs.registry import PROMETHEUS_CONTENT_TYPE
 from ..obs.tracer import TRACER, traced_call
 from .batcher import JobBatcher
 from .httpd import AsyncHttpServer, HttpRequest, HttpResponse, json_response
-from .pipeline import RESULT_SCHEMA, _probe, run_service_job
+from .pipeline import RESULT_SCHEMA, _probe, reported_call, run_service_job
 from .protocol import (
     Draining,
     ServiceFault,
@@ -141,6 +141,8 @@ class ServiceServer:
         self._threads: Optional[ThreadPoolExecutor] = None
         self.executor_kind = "none"
         self._batcher: Optional[JobBatcher] = None
+        #: The last memo report of each worker (pid -> report).
+        self._worker_memos: Dict[int, Dict[str, int]] = {}
         self._http: Optional[AsyncHttpServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._shutdown: Optional[asyncio.Event] = None
@@ -367,9 +369,11 @@ class ServiceServer:
     async def _run_job(self, job: ServiceJob) -> Dict[str, Any]:
         """The batcher's execute callable: executor round-trip + store.
 
-        With tracing on, the job crosses the pool via ``traced_call``:
-        the worker records its own spans and returns them next to the
-        result, which stays byte-identical to the untraced path.
+        The job crosses the pool via ``reported_call``, which returns
+        the worker's memo sizes next to the result.  With tracing on it
+        also goes through ``traced_call``: the worker records its own
+        spans and returns them next to the result.  Both are stripped
+        here, so the result stays byte-identical to a bare call.
         """
         with self.metrics.stage("execute"):
             if TRACER.enabled:
@@ -378,17 +382,25 @@ class ServiceServer:
                     op=job.op,
                     fingerprint=job.fingerprint[:16],
                 ):
-                    wrapped = await self._call(
+                    reply = await self._call(
+                        reported_call,
                         traced_call,
                         TRACER.current_carrier(),
                         run_service_job,
                         job.payload,
                     )
-                TRACER.ingest(wrapped["spans"])
-                result = wrapped["result"]
+                traced = reply["result"]
+                TRACER.ingest(traced["spans"])
+                result = traced["result"]
             else:
-                result = await self._call(run_service_job, job.payload)
+                reply = await self._call(
+                    reported_call, run_service_job, job.payload
+                )
+                result = reply["result"]
+        self._worker_memos[reply["worker"]["pid"]] = reply["worker"]
+        self._publish_worker_memos()
         self.metrics.count("jobs_executed")
+        self.metrics.count("service_misses")
         self._memo.put(job.fingerprint, result)
         if self.cache is not None:
             self.cache.put_json("service", job.fingerprint, result)
@@ -433,7 +445,21 @@ class ServiceServer:
                 "service_in_flight", float(batcher.pending)
             )
         self.metrics.gauge("service_draining", float(self.draining))
+        self._publish_worker_memos()
         return self.metrics.to_dict()
+
+    def _publish_worker_memos(self) -> None:
+        """Gauge the analysis and trace-set memo entries summed over the
+        live workers' last reports; a lost worker's report is dropped."""
+        if self._pool is not None:
+            live = set(self._pool.pids)
+            for pid in [p for p in self._worker_memos if p not in live]:
+                del self._worker_memos[pid]
+        for memo in ("analysis", "traces"):
+            self.metrics.gauge(
+                f"worker_{memo}_memo_entries",
+                float(sum(r[memo] for r in self._worker_memos.values())),
+            )
 
     def _fault_response(self, fault: ServiceFault) -> HttpResponse:
         self.metrics.count(f"http_{fault.status}")

@@ -82,6 +82,18 @@ def counter(server, name):
     return server.metrics.counters.get(name, 0)
 
 
+def test_summary_counts_each_computed_job_as_a_service_miss():
+    with running_server() as server:
+        client = client_for(server)
+        for body in (EVAL_BODY, EVAL_BODY, EVAL_BODY,
+                     dict(EVAL_BODY, scale=2.0)):
+            client.evaluate(**body)
+    # Two computed; the repeats hit the fingerprint, then the stored
+    # reply bytes.
+    assert counter(server, "jobs_executed") == 2
+    assert "service_hits=2 service_misses=2" in server.metrics.summary()
+
+
 def test_health_routing_and_errors():
     with running_server() as server:
         client = client_for(server)

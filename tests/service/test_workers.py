@@ -26,6 +26,8 @@ import pytest
 
 import repro
 
+from repro.alloc.analysis import clear_analysis_cache
+from repro.engine import jobs as engine_jobs
 from repro.obs.tracer import TRACER
 from repro.service.httpd import json_response
 from repro.service.loadgen import LOADGEN_KERNEL
@@ -172,6 +174,44 @@ def test_process_pool_replies_match_the_pipeline_then_drain_clean():
             os.waitpid(pid, os.WNOHANG)
     with pytest.raises(ConnectionRefusedError):
         socket.create_connection(("127.0.0.1", port), timeout=5).close()
+
+
+def worker_gauges(port):
+    """The worker memo gauges as ``/metrics`` publishes them."""
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=60)
+    try:
+        connection.request("GET", "/metrics")
+        gauges = json.loads(connection.getresponse().read())["gauges"]
+    finally:
+        connection.close()
+    return (gauges["worker_analysis_memo_entries"],
+            gauges["worker_traces_memo_entries"])
+
+
+def test_worker_memo_gauges_count_registry_kernels_only():
+    # The workers fork with this process's memos: start them empty.
+    clear_analysis_cache()
+    engine_jobs._TRACE_SETS.clear()
+    with process_server() as server:
+        port = server.port
+        assert worker_gauges(port) == (0, 0)
+        assert post(port, "evaluate", {"benchmark": "vectoradd"})[0] == 200
+        assert worker_gauges(port) == (1, 1)
+        # An IR-text job forgets its analysis, whichever worker ran it.
+        for op in ("allocate", "evaluate"):
+            body = {"kernel": LOADGEN_KERNEL, "scheme": SW_JSON}
+            assert post(port, op, body)[0] == 200
+            assert worker_gauges(port) == (1, 1)
+        assert post(port, "evaluate", {"benchmark": "matrixmul"})[0] == 200
+        assert worker_gauges(port) == (2, 2)
+
+        # A lost worker's last report leaves the sums.
+        pid, report = max(server._worker_memos.items(),
+                          key=lambda item: item[1]["analysis"])
+        os.kill(pid, signal.SIGKILL)
+        wait_until(lambda: counters(server).get("worker_restarts") == 1)
+        assert worker_gauges(port) == (2 - report["analysis"],
+                                       2 - report["traces"])
 
 
 def test_a_dead_worker_costs_one_request_not_the_server():
