@@ -27,17 +27,26 @@ and the auto-tuner::
 ``trace``, ``explain``, and ``tune`` all accept the same kernel
 target forms: a benchmark name, ``fuzz:SEED`` for a generated
 workload, or a path to an IR text file (``-`` for stdin).
+
+Each command imports what it runs when it runs.  This module loads
+only what ``serve`` loads anyway (the allocator, the IR printer,
+schemes and the workload registry), so ``repro serve`` and the pool
+workers it forks never import :mod:`repro.experiments`; only the
+figure commands, ``all``, ``export``, ``report``, ``bench-accounting``,
+``unroll``, ``scheduler`` and ``timing`` import it, when they run.
+``--version`` prints the package's own ``__version__``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from . import experiments
+from . import __version__
 from .alloc.allocator import AllocationConfig, allocate_kernel
 from .ir.printer import format_allocated_kernel
 from .sim.schemes import BEST_SCHEME, Scheme, SchemeKind
@@ -48,40 +57,57 @@ from .workloads.suites import (
     suite_of,
 )
 
-_FIGURES = {
-    "fig2": (experiments.run_fig2, experiments.format_fig2),
-    "fig11": (experiments.run_fig11, experiments.format_fig11),
-    "fig12": (experiments.run_fig12, experiments.format_fig12),
-    "fig13": (experiments.run_fig13, experiments.format_fig13),
-    "fig14": (experiments.run_fig14, experiments.format_fig14),
-    "fig15": (experiments.run_fig15, experiments.format_fig15),
-    "limit": (experiments.run_limit_study, experiments.format_limit_study),
-    "encoding": (
-        experiments.run_encoding_study,
-        experiments.format_encoding_study,
-    ),
-    "variable": (
-        experiments.run_variable_orf_study,
-        experiments.format_variable_orf,
-    ),
-    "sensitivity": (
-        experiments.run_sensitivity_study,
-        experiments.format_sensitivity,
-    ),
-}
+#: The figure subcommands, in the order ``repro all`` runs them.
+_FIGURE_NAMES = (
+    "fig2",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "limit",
+    "encoding",
+    "variable",
+    "sensitivity",
+)
 
 
-def _version_text() -> str:
-    """The installed distribution version, falling back to the
-    package's own constant when running from a source tree."""
-    try:
-        from importlib.metadata import version
+@functools.cache
+def _figures() -> Dict[str, Tuple[Callable[..., Any], Callable[..., str]]]:
+    """Each figure subcommand's (driver, formatter), in
+    :data:`_FIGURE_NAMES` order.  Built once, on first use, which
+    imports :mod:`repro.experiments`."""
+    from . import experiments
 
-        return version("repro")
-    except Exception:
-        from . import __version__
+    return {
+        "fig2": (experiments.run_fig2, experiments.format_fig2),
+        "fig11": (experiments.run_fig11, experiments.format_fig11),
+        "fig12": (experiments.run_fig12, experiments.format_fig12),
+        "fig13": (experiments.run_fig13, experiments.format_fig13),
+        "fig14": (experiments.run_fig14, experiments.format_fig14),
+        "fig15": (experiments.run_fig15, experiments.format_fig15),
+        "limit": (experiments.run_limit_study, experiments.format_limit_study),
+        "encoding": (
+            experiments.run_encoding_study,
+            experiments.format_encoding_study,
+        ),
+        "variable": (
+            experiments.run_variable_orf_study,
+            experiments.format_variable_orf,
+        ),
+        "sensitivity": (
+            experiments.run_sensitivity_study,
+            experiments.format_sensitivity,
+        ),
+    }
 
-        return __version__
+
+def __getattr__(name: str) -> Any:
+    """``repro.cli._FIGURES``, which ``benchmarks/e2e/passes.py``
+    imports: :func:`_figures`, built on first access (PEP 562)."""
+    if name == "_FIGURES":
+        return _figures()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -95,7 +121,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--version",
         action="version",
-        version=f"%(prog)s {_version_text()}",
+        version=f"%(prog)s {__version__}",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -170,7 +196,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="bootstrap RNG seed for the stopping rule (default 0)",
         )
 
-    for name in list(_FIGURES) + ["all"]:
+    for name in _FIGURE_NAMES + ("all",):
         cmd = sub.add_parser(name, help=f"run the {name} experiment")
         cmd.add_argument(
             "--scale",
@@ -988,6 +1014,16 @@ def _dispatch(args) -> int:
         print(write_loadgen(args.out, payload))
         return 0 if payload["ok"] else 1
 
+    if args.command == "bench":
+        from .bench import run_diff
+
+        code, text, _ = run_diff(args.old, args.new, gate_pct=args.gate)
+        print(text)
+        return code
+
+    # Every command below runs a figure driver or a study.
+    from . import experiments
+
     if args.command == "export":
         from .experiments.export import export_all
 
@@ -995,7 +1031,7 @@ def _dispatch(args) -> int:
         data = experiments.SuiteData.build(
             all_workloads(args.scale), scale=args.scale, engine=engine
         )
-        data.prefetch(_plan_schemes(list(_FIGURES)))
+        data.prefetch(_plan_schemes(list(_FIGURE_NAMES)))
         written = export_all(
             data, args.directory, include_slow=not args.skip_slow
         )
@@ -1011,7 +1047,7 @@ def _dispatch(args) -> int:
         data = experiments.SuiteData.build(
             all_workloads(args.scale), scale=args.scale, engine=engine
         )
-        data.prefetch(_plan_schemes(list(_FIGURES)))
+        data.prefetch(_plan_schemes(list(_FIGURE_NAMES)))
         written = write_report(args.path, data)
         print(written)
         _finish_engine(engine, args)
@@ -1026,13 +1062,6 @@ def _dispatch(args) -> int:
         print(experiments.format_bench_accounting(payload))
         print(experiments.write_bench_accounting(args.out, payload))
         return 0
-
-    if args.command == "bench":
-        from .bench import run_diff
-
-        code, text, _ = run_diff(args.old, args.new, gate_pct=args.gate)
-        print(text)
-        return code
 
     if args.command == "unroll":
         result = experiments.run_unroll_study(
@@ -1055,6 +1084,7 @@ def _dispatch(args) -> int:
         print(experiments.format_timing_study(result))
         return 0
 
+    figures = _figures()
     started = time.time()
     engine = _make_engine(args)
     data = experiments.SuiteData.build(
@@ -1067,10 +1097,10 @@ def _dispatch(args) -> int:
         file=sys.stderr,
     )
 
-    names = list(_FIGURES) if args.command == "all" else [args.command]
+    names = list(figures) if args.command == "all" else [args.command]
     data.prefetch(_plan_schemes(names))
     for name in names:
-        run, fmt = _FIGURES[name]
+        run, fmt = figures[name]
         print(fmt(run(data)))
         print()
     _finish_engine(engine, args)

@@ -22,8 +22,10 @@ the connection stops reading; while the client is not reading replies
 The server is handler-agnostic: one async callable maps
 :class:`HttpRequest` to :class:`HttpResponse`.  Handler exceptions
 become opaque 500s (no traceback reaches the client), counted as
-``http_500``, and keep the connection.  A framing error gets one typed
-reply, counted as ``http_protocol_errors``, and closes the connection:
+``http_500``, and keep the connection; the server's stderr gets a
+line naming the request (method and target quoted), then the
+traceback.  A framing error gets one typed reply, counted as
+``http_protocol_errors``, and closes the connection:
 400 (malformed request line, header or ``Content-Length``), 413 (body
 over ``max_body_bytes``), 414 (request line over :data:`_READ_LIMIT`),
 431 (a header line over it, or over :data:`_MAX_HEADERS` headers) and
@@ -52,6 +54,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import sys
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Awaitable, Callable, Dict, Optional, Set
 
@@ -341,6 +345,13 @@ class _Connection(asyncio.Protocol):
             raise
         except Exception:
             server._count("http_500")
+            # Quoted: the target is the client's bytes, control
+            # characters included.
+            print(
+                f"http 500 on {request.method!r} {request.target!r}:",
+                file=sys.stderr,
+            )
+            traceback.print_exc(file=sys.stderr)
             response = json_response(
                 500,
                 {"error": {

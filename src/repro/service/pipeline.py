@@ -31,10 +31,12 @@ Evaluation results embed the engine's record payload verbatim
 service response byte-comparable to the direct engine path.
 
 Tune jobs run the whole design-space search in the worker
-(:func:`repro.tuner.runner.run_tune`) against a per-process
-:class:`~repro.engine.ExperimentEngine`, whose bounded record memo
-carries candidate evaluations across tune requests landing on the same
-worker.
+(:func:`repro.tuner.runner.run_tune`) on the fresh
+:class:`~repro.engine.ExperimentEngine` it makes, dropped when the job
+ends: the search's records serve its own batches and no later job, so
+a tune's reply does not depend on which tunes its worker ran before.
+A repeated tune is answered by the server's result memo and disk
+cache.
 
 The server calls the job through :func:`reported_call`, which returns
 the worker's pid and the entry counts of its two module-level memos
@@ -58,21 +60,6 @@ from ..workloads.suites import get_workload
 from .protocol import KernelExecutionError, scheme_from_json, warps_from_json
 
 RESULT_SCHEMA = 1
-
-#: Per-process engine for tune jobs: the search evaluates dozens of
-#: schemes per request, and the engine's record memo carries candidate
-#: evaluations across tune requests hitting the same worker.
-_TUNE_ENGINE = None
-
-
-def _tune_engine():
-    global _TUNE_ENGINE
-    if _TUNE_ENGINE is None:
-        from ..engine import ExperimentEngine
-
-        _TUNE_ENGINE = ExperimentEngine()
-    return _TUNE_ENGINE
-
 
 def _probe() -> str:
     """Round-trip probe the server uses to vet the process pool."""
@@ -164,7 +151,6 @@ def _compute(
         objective=tune["objective"],
         budget=tune["budget"],
         seed=tune["seed"],
-        engine=_tune_engine(),
     )
     return {
         "schema": RESULT_SCHEMA,

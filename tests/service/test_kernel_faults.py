@@ -8,11 +8,13 @@ runs it.  Every body must end in a result, in a 400 ``parse_error``
 ``kernel_execution_error`` (it parses but cannot run on its warps).
 One body per fault class the fuzzer found is pinned, and a few go
 through the in-process server, whose ``/metrics`` counts each reply
-and holds no ``http_500``.
+and holds no ``http_500``.  Any other exception is an opaque 500, whose
+traceback goes to the server's stderr and never to the client.
 """
 
 import json
 import random
+import socket
 from collections import Counter
 
 import pytest
@@ -177,11 +179,12 @@ def test_typed_faults_cross_the_process_pool_and_are_counted():
     assert "http_500" not in seen
 
 
-def test_an_unexpected_exception_is_an_opaque_counted_500(monkeypatch):
+def test_an_unexpected_exception_is_an_opaque_counted_500(monkeypatch,
+                                                          capsys):
     import repro.service.server as server_module
 
     def broken(payload):
-        raise RuntimeError("not a service fault")
+        raise RuntimeError("boom: not a service fault")
 
     monkeypatch.setattr(server_module, "run_service_job", broken)
     with running_server() as server:
@@ -193,4 +196,26 @@ def test_an_unexpected_exception_is_an_opaque_counted_500(monkeypatch):
             "type": "internal_error", "message": "internal server error",
         }
         assert counters(server)["http_500"] == 1
+        # A target carrying control bytes reaches the log escaped.
+        body = b'{"benchmark": "vectoradd"}'
+        with socket.create_connection(("127.0.0.1", server.port)) as sock:
+            sock.sendall(
+                b"POST /v1/evaluate?\x1b[2J\r\x85 HTTP/1.1\r\n"
+                b"Connection: close\r\n"
+                b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
+            )
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        assert reply.startswith(b"HTTP/1.1 500 ")
+        assert counters(server)["http_500"] == 2
+    # The client sees nothing of the cause; the server's log has it.
+    err = capsys.readouterr().err
+    assert "http 500 on 'POST' '/v1/evaluate':" in err
+    assert "http 500 on 'POST' '/v1/evaluate?\\x1b[2J\\r\\x85':" in err
+    assert not {"\x1b", "\x85"} & set(err)
+    assert err.count("Traceback") == 2
+    assert "RuntimeError: boom: not a service fault" in err
+    assert "boom" not in json.dumps(payload)
+    assert b"boom" not in reply
 

@@ -146,6 +146,17 @@ class TestWorkerPath:
         assert service["frontier"] == direct["frontier"]
         assert service["trace"] == direct["trace"]
 
+    def test_a_repeated_tune_computes_the_same_reply(self):
+        # Each tune runs on an engine of its own, so a worker that ran
+        # this search before computes it again, as a new worker would.
+        job = normalize_request("tune", dict(TUNE_BODY))
+        first = run_service_job(job.payload)
+        second = run_service_job(job.payload)
+        for result in (first, second):
+            assert result["tuner"]["evaluations"]["fresh"] == 20
+            del result["tuner"]["wall_time_s"]
+        assert second == first
+
 
 class TestLiveServer:
     def test_tune_round_trip_and_memo(self):

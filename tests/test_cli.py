@@ -1,7 +1,13 @@
 """CLI tests beyond the basics covered in test_integration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -11,9 +17,70 @@ class TestVersion:
             main(["--version"])
         assert excinfo.value.code == 0
         out = capsys.readouterr().out
-        import repro
-
         assert repro.__version__ in out
+        assert out == f"repro {repro.__version__}\n"
+
+
+#: Packages no served job runs: the figure drivers and studies, the
+#: compiler stages, the bench harness and the shadow verifiers.
+NOT_SERVED = (
+    "repro.experiments",
+    "repro.compiler",
+    "repro.bench",
+    "repro.sim.verify",
+)
+
+
+class TestImportBoundary:
+    def test_serve_loads_no_figure_driver_study_or_verifier(self):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        script = (
+            "import sys\n"
+            "from repro.cli import _build_parser\n"
+            "assert _build_parser().parse_args(['serve']).command == 'serve'\n"
+            "import repro.service.server\n"
+            "print('\\n'.join(sorted(sys.modules)))\n"
+        )
+        loaded = subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout.split()
+        assert "repro.service.server" in loaded
+        assert [m for m in loaded if m.startswith(NOT_SERVED)] == []
+
+    def test_figures_map_each_subcommand_to_its_driver_in_all_order(
+            self, monkeypatch, capsys):
+        import repro.cli as cli_module
+        from repro import experiments
+        from repro.workloads import get_workload
+
+        figures = cli_module._FIGURES
+        assert tuple(figures) == cli_module._FIGURE_NAMES
+        assert cli_module._FIGURES is figures  # built once
+        for run, fmt in figures.values():
+            # The e2e benchmark looks each driver up by name.
+            assert run.__name__.startswith("run_")
+            assert fmt.__name__.startswith("format_")
+            assert getattr(experiments, run.__name__) is run
+            assert getattr(experiments, fmt.__name__) is fmt
+
+        ran = []
+        for name in figures:
+            monkeypatch.setitem(figures, name, (
+                lambda data, name=name: ran.append(name) or name,
+                lambda name: f"<{name}>",
+            ))
+        monkeypatch.setattr(cli_module, "all_workloads", lambda scale=1.0: [
+            get_workload("vectoradd", scale)
+        ])
+        assert main(["all", "--scale", "0.25"]) == 0
+        assert ran == list(cli_module._FIGURE_NAMES)
+        out = capsys.readouterr().out
+        assert out.split() == [f"<{name}>" for name in ran]
 
 
 class TestAllocateCommand:
