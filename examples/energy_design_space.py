@@ -10,7 +10,7 @@ point.
 Run:  python examples/energy_design_space.py
 """
 
-from repro.energy import encoding_overhead
+from repro.energy.encoding import encoding_overhead
 from repro.experiments import SuiteData, run_fig13
 from repro.sim import Scheme, SchemeKind
 from repro.workloads import get_workload

@@ -9,7 +9,8 @@ points).
 Run:  python examples/quickstart.py
 """
 
-from repro.energy import chip_power_savings, normalized_energy
+from repro.energy import normalized_energy
+from repro.energy.chip_power import chip_power_savings
 from repro.sim import Scheme, SchemeKind, build_traces, evaluate_traces
 from repro.workloads import get_workload
 

@@ -14,7 +14,8 @@ from repro.experiments import (
     format_scheduler_study,
     run_scheduler_study,
 )
-from repro.sim import WarpExecutor, simulate_schedule
+from repro.sim import WarpExecutor
+from repro.sim.scheduler import simulate_schedule
 from repro.strands import partition_strands
 from repro.workloads import get_workload
 

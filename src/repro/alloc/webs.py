@@ -236,9 +236,6 @@ class _LocalReaching:
         self.kernel = kernel
         self.partition = partition
         self.reaching = reaching
-        self._refs: Dict[int, InstructionRef] = {
-            ref.position: ref for ref, _ in kernel.instructions()
-        }
         #: (position, slot) -> frozenset of strand-locally reaching defs.
         self.read_local: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._compute()
@@ -247,12 +244,17 @@ class _LocalReaching:
         kernel = self.kernel
         cut_before = self.partition.cut_before
         entry_cuts = self.partition.entry_cuts
-        defs_of_reg = self._defs_by_reg()
+        reaching = self.reaching
+        defs_of_reg = reaching.defs_by_register()
+        no_defs: FrozenSet[int] = frozenset()
+        read_local = self.read_local
 
         num_blocks = len(kernel.blocks)
         block_out: List[Set[int]] = [set() for _ in range(num_blocks)]
         preds = kernel.predecessors_map()
 
+        # Blocks in layout order, so positions simply count up.
+        position = 0
         for block_index, block in enumerate(kernel.blocks):
             if block_index in entry_cuts or block_index == 0:
                 live: Set[int] = set()
@@ -261,41 +263,20 @@ class _LocalReaching:
                 for pred in preds[block_index]:
                     if pred < block_index:
                         live |= block_out[pred]
-            position = self._first_position(block_index)
-            for instr_index, instruction in enumerate(block.instructions):
+            for instruction in block.instructions:
                 if position in cut_before:
                     live.clear()
                 for slot, reg in instruction.gpr_reads():
-                    self.read_local[(position, slot)] = frozenset(
-                        d
-                        for d in live
-                        if self.reaching.definition(d).reg == reg
+                    read_local[(position, slot)] = (
+                        defs_of_reg.get(reg, no_defs) & live
                     )
                 written = instruction.gpr_write()
                 if written is not None:
-                    def_id = self._def_id_at(position)
                     if instruction.guard is None:
-                        live -= defs_of_reg.get(written, set())
-                    if def_id is not None:
-                        live.add(def_id)
+                        live -= defs_of_reg[written]
+                    live.add(reaching.def_id_at(position))
                 position += 1
             block_out[block_index] = live
-
-    def _defs_by_reg(self) -> Dict[Register, Set[int]]:
-        result: Dict[Register, Set[int]] = {}
-        for definition in self.reaching.definitions:
-            result.setdefault(definition.reg, set()).add(definition.def_id)
-        return result
-
-    def _first_position(self, block_index: int) -> int:
-        position = 0
-        for index in range(block_index):
-            position += len(self.kernel.blocks[index].instructions)
-        return position
-
-    def _def_id_at(self, position: int) -> Optional[int]:
-        definition = self.reaching.def_at(self._refs[position])
-        return definition.def_id if definition is not None else None
 
     def local_defs(self, ref: InstructionRef, slot: int) -> FrozenSet[int]:
         return self.read_local.get((ref.position, slot), frozenset())
@@ -323,33 +304,32 @@ class _DivergenceHazards:
         self,
         kernel: Kernel,
         partition: StrandPartition,
+        first_pos: List[int],
         cfg: Optional[ControlFlowGraph] = None,
     ) -> None:
         self._strand_of = partition.strand_of_position
-        first_pos: Dict[int, int] = {}
-        position = 0
-        for block_index, block in enumerate(kernel.blocks):
-            first_pos[block_index] = position
-            position += len(block.instructions)
-        num_positions = position
+        num_positions = first_pos[-1]
         if cfg is None:
             cfg = ControlFlowGraph(kernel)
         postdom = PostDominatorTree(cfg)
         #: (branch position, taken-region begin, reconvergence position)
         self._hammocks: List[Tuple[int, int, int]] = []
-        for ref, instruction in kernel.instructions():
-            if instruction.opcode is not Opcode.BRA:
-                continue
-            if instruction.guard is None:
-                continue
-            target = first_pos[kernel.block_index(instruction.target)]
-            if target <= ref.position:
-                # Backward branches end strands; no in-strand range can
-                # span them.
-                continue
-            ipd = postdom.immediate_post_dominator(ref.block_index)
-            reconv = first_pos[ipd] if ipd is not None else num_positions
-            self._hammocks.append((ref.position, target, reconv))
+        for block_index, block in enumerate(kernel.blocks):
+            position = first_pos[block_index]
+            for instr_index, instruction in enumerate(block.instructions):
+                if instruction.opcode is not Opcode.BRA:
+                    continue
+                if instruction.guard is None:
+                    continue
+                branch = position + instr_index
+                target = first_pos[kernel.block_index(instruction.target)]
+                if target <= branch:
+                    # Backward branches end strands; no in-strand range
+                    # can span them.
+                    continue
+                ipd = postdom.immediate_post_dominator(block_index)
+                reconv = first_pos[ipd] if ipd is not None else num_positions
+                self._hammocks.append((branch, target, reconv))
 
     def unsafe(self, avail_positions, read_position: int) -> bool:
         """True if some fill-to-read span is broken by interleaving."""
@@ -435,11 +415,17 @@ class _WebBuilder:
         self.partition = partition
         self.reaching = reaching
         self.local = _LocalReaching(kernel, partition, reaching)
-        self.hazards = _DivergenceHazards(kernel, partition, cfg=cfg)
-        self._instructions: Dict[int, Instruction] = {
-            ref.position: instruction
-            for ref, instruction in kernel.instructions()
-        }
+        #: Each block's first static position, then the kernel's length.
+        self._first_pos = _block_first_positions(kernel)
+        self.hazards = _DivergenceHazards(
+            kernel, partition, self._first_pos, cfg=cfg
+        )
+        #: Instructions by static position.
+        self._instructions: List[Instruction] = [
+            instruction
+            for block in kernel.blocks
+            for instruction in block.instructions
+        ]
         #: def_id -> set of (position, slot) reads it locally reaches.
         self._local_uses: Dict[int, Set[Tuple[int, int]]] = {}
         for key, def_ids in self.local.read_local.items():
@@ -479,10 +465,7 @@ class _WebBuilder:
             instruction = self._instructions[ref.position]
             for slot, reg in instruction.gpr_reads():
                 global_ids = self.reaching.reaching_defs(ref, slot)
-                local_ids = self.local.local_defs(ref, slot)
-                web_ids = frozenset(
-                    d for d in local_ids if d in in_strand_defs
-                )
+                web_ids = self.local.local_defs(ref, slot) & in_strand_defs
                 site = ReadSite(ref, slot, reg)
                 if not web_ids:
                     external_reads.append(site)
@@ -592,7 +575,7 @@ class _WebBuilder:
                     mixed=False,
                 )
             )
-        successors = _strand_successors(self.kernel, strand)
+        successors = _strand_successors(self.kernel, strand, self._first_pos)
         candidates: List[ReadOperandCandidate] = []
         for reg in sorted(by_reg, key=lambda r: (r.reg_class.value, r.index)):
             reads = sorted(by_reg[reg], key=lambda read: read.position)
@@ -617,16 +600,22 @@ class _WebBuilder:
         return candidates
 
 
+def _block_first_positions(kernel: Kernel) -> List[int]:
+    """Each block's first static position, then the kernel's length."""
+    first = [0]
+    for block in kernel.blocks:
+        first.append(first[-1] + len(block.instructions))
+    return first
+
+
 def _strand_successors(
-    kernel: Kernel, strand: Strand
+    kernel: Kernel, strand: Strand, first_position_of_block: List[int]
 ) -> Dict[int, List[int]]:
-    """Instruction-level successor map restricted to strand positions."""
+    """Instruction-level successor map restricted to strand positions.
+
+    ``first_position_of_block`` is :func:`_block_first_positions`.
+    """
     positions = strand.positions
-    first_position_of_block: Dict[int, int] = {}
-    position = 0
-    for block_index, block in enumerate(kernel.blocks):
-        first_position_of_block[block_index] = position
-        position += len(block.instructions)
 
     successors: Dict[int, List[int]] = {}
     for ref in strand.refs:
@@ -657,7 +646,7 @@ def _strand_successors(
 
 
 def _fall_through(
-    kernel: Kernel, ref, first_position_of_block: Dict[int, int]
+    kernel: Kernel, ref, first_position_of_block: List[int]
 ) -> Optional[int]:
     block = kernel.blocks[ref.block_index]
     if ref.instr_index + 1 < len(block.instructions):

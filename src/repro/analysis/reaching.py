@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
-from ..ir.instructions import Instruction
 from ..ir.kernel import InstructionRef, Kernel
 from ..ir.registers import Register
 from .cfg import ControlFlowGraph
@@ -75,8 +74,9 @@ class ReachingDefinitions:
         self._read_reaching: Dict[Tuple[int, int], FrozenSet[int]] = {}
         self._def_uses: Dict[int, List[ReadSite]] = {}
         self._collect_definitions()
-        self._solve()
-        self._record_reads()
+        defs_of_reg = self.defs_by_register()
+        self._solve(defs_of_reg)
+        self._record_reads(defs_of_reg)
 
     # -- setup -------------------------------------------------------------
 
@@ -105,26 +105,46 @@ class ReachingDefinitions:
             )
             self._def_at_ref[ref.position] = def_id
 
-    def _defs_of_reg(self) -> Dict[Register, FrozenSet[int]]:
+    def defs_by_register(self) -> Dict[Register, FrozenSet[int]]:
+        """Every definition id of each written (or live-in) register.
+
+        A fresh dict per call: the analyses keep none, and a read's
+        reaching set is the live set intersected with its register's
+        entry.
+        """
         by_reg: Dict[Register, Set[int]] = {}
         for definition in self.definitions:
             by_reg.setdefault(definition.reg, set()).add(definition.def_id)
         return {reg: frozenset(ids) for reg, ids in by_reg.items()}
 
-    def _solve(self) -> None:
-        defs_of_reg = self._defs_of_reg()
+    def _solve(self, defs_of_reg: Dict[Register, FrozenSet[int]]) -> None:
         num_blocks = len(self.kernel.blocks)
         block_in: List[Set[int]] = [set() for _ in range(num_blocks)]
         block_out: List[Set[int]] = [set() for _ in range(num_blocks)]
 
         entry_in = set(self._external_defs.values())
 
-        def transfer(block_index: int, live: Set[int]) -> Set[int]:
-            current = set(live)
-            block = self.kernel.blocks[block_index]
+        # Each block's transfer, summarised once as (kill, gen): it maps
+        # the definitions live at entry to (live - kill) | gen.  An
+        # unguarded write kills every definition of its register (its
+        # own included); any write then generates its own.
+        kills: List[Set[int]] = []
+        gens: List[Set[int]] = []
+        position = 0
+        for block in self.kernel.blocks:
+            kill: Set[int] = set()
+            gen: Set[int] = set()
             for instruction in block.instructions:
-                self._apply_instruction(instruction, current, defs_of_reg)
-            return current
+                written = instruction.gpr_write()
+                if written is not None:
+                    if instruction.guard is None:
+                        same = defs_of_reg[written]
+                        kill |= same
+                        gen -= same
+                    gen.add(self._def_at_ref[position])
+                position += 1
+            kills.append(kill)
+            gens.append(gen)
 
         changed = True
         while changed:
@@ -139,7 +159,7 @@ class ReachingDefinitions:
                 if incoming != block_in[block_index]:
                     block_in[block_index] = incoming
                     changed = True
-                new_out = transfer(block_index, incoming)
+                new_out = (incoming - kills[block_index]) | gens[block_index]
                 if new_out != block_out[block_index]:
                     block_out[block_index] = new_out
                     changed = True
@@ -147,56 +167,28 @@ class ReachingDefinitions:
         self._block_in = [frozenset(s) for s in block_in]
         self._block_out = [frozenset(s) for s in block_out]
 
-    def _apply_instruction(
-        self,
-        instruction: Instruction,
-        live: Set[int],
-        defs_of_reg: Dict[Register, FrozenSet[int]],
+    def _record_reads(
+        self, defs_of_reg: Dict[Register, FrozenSet[int]]
     ) -> None:
-        written = instruction.gpr_write()
-        if written is None:
-            return
-        def_id = self._find_def_id(instruction)
-        if instruction.guard is None:
-            live -= defs_of_reg.get(written, frozenset())
-        live.add(def_id)
-
-    def _find_def_id(self, instruction: Instruction) -> int:
-        # The solver walks blocks in order, so recover def_id by identity.
-        # We store def_ids by position during collection; look them up by
-        # scanning is avoided via the per-ref map in _record_reads.  Here
-        # the instruction's position is recovered lazily.
-        if not hasattr(self, "_instr_to_def"):
-            self._instr_to_def: Dict[int, int] = {}
-            for ref, inst in self.kernel.instructions():
-                if ref.position in self._def_at_ref:
-                    self._instr_to_def[id(inst)] = self._def_at_ref[
-                        ref.position
-                    ]
-        return self._instr_to_def[id(instruction)]
-
-    def _record_reads(self) -> None:
-        defs_of_reg = self._defs_of_reg()
+        no_defs: FrozenSet[int] = frozenset()
         for block_index, block in enumerate(self.kernel.blocks):
             live: Set[int] = set(self._block_in[block_index])
             if block_index == self.cfg.entry:
                 live |= set(self._external_defs.values())
-            position_base = None
             for instr_index, instruction in enumerate(block.instructions):
                 ref = self._ref_for(block_index, instr_index)
                 for slot, reg in instruction.gpr_reads():
-                    reaching = frozenset(
-                        def_id
-                        for def_id in live
-                        if self.definitions[def_id].reg == reg
-                    )
+                    reaching = defs_of_reg.get(reg, no_defs) & live
                     site = ReadSite(ref, slot, reg)
                     self._reads.append(site)
                     self._read_reaching[(ref.position, slot)] = reaching
                     for def_id in reaching:
                         self._def_uses.setdefault(def_id, []).append(site)
-                self._apply_instruction(instruction, live, defs_of_reg)
-            del position_base
+                written = instruction.gpr_write()
+                if written is not None:
+                    if instruction.guard is None:
+                        live -= defs_of_reg[written]
+                    live.add(self._def_at_ref[ref.position])
 
     def _ref_for(self, block_index: int, instr_index: int) -> InstructionRef:
         if not hasattr(self, "_ref_cache"):
@@ -216,6 +208,10 @@ class ReachingDefinitions:
         if def_id is None:
             return None
         return self.definitions[def_id]
+
+    def def_id_at(self, position: int) -> Optional[int]:
+        """The id of the definition made at static ``position``, if any."""
+        return self._def_at_ref.get(position)
 
     def reaching_defs(
         self, ref: InstructionRef, slot: int

@@ -1,4 +1,9 @@
-"""Energy model and accounting (Section 5.2, Tables 3-4)."""
+"""Energy model and accounting (Section 5.2, Tables 3-4).
+
+Chip-wide power (:mod:`repro.energy.chip_power`) and the encoding
+overhead (:mod:`repro.energy.encoding`) are imported from their
+submodules by the studies that use them.
+"""
 
 from .accounting import (
     EnergyBreakdown,
@@ -6,19 +11,13 @@ from .accounting import (
     energy_savings,
     normalized_energy,
 )
-from .chip_power import ChipPowerResult, chip_power_savings
-from .encoding import EncodingOverheadResult, encoding_overhead
 from .model import EnergyModel, EnergyModelError
 
 __all__ = [
-    "ChipPowerResult",
     "EnergyBreakdown",
     "EnergyModel",
     "EnergyModelError",
-    "EncodingOverheadResult",
-    "chip_power_savings",
     "compute_energy",
-    "encoding_overhead",
     "energy_savings",
     "normalized_energy",
 ]

@@ -39,6 +39,9 @@ class FunctionalUnit(enum.Enum):
     #: Texture unit; shared datapath.
     TEX = "tex"
 
+    # Identity hash at C level, as ``repro.levels.Level`` has.
+    __hash__ = object.__hash__
+
     @property
     def is_shared(self) -> bool:
         """True for the shared datapath (SFU/MEM/TEX, Section 3.2)."""
@@ -53,6 +56,9 @@ class LatencyClass(enum.Enum):
     SHARED_MEM = "shared_mem"    # 20 cycles
     DRAM = "dram"                # 400 cycles (long latency)
     TEXTURE = "texture"          # 400 cycles (long latency)
+
+    # Identity hash at C level, as ``repro.levels.Level`` has.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -113,6 +119,11 @@ class Opcode(enum.Enum):
     BRA = "bra"
     EXIT = "exit"
 
+    # Identity hash at C level, as ``repro.levels.Level`` has:
+    # :attr:`info` looks every opcode up in a dict, and Enum's own
+    # ``hash(name)`` runs in Python.
+    __hash__ = object.__hash__
+
     @property
     def info(self) -> _OpcodeInfo:
         return _OPCODE_INFO[self]
@@ -128,7 +139,7 @@ class Opcode(enum.Enum):
     @property
     def is_long_latency(self) -> bool:
         """True for operations that trigger warp descheduling (Section 4.1)."""
-        return self.info.latency in (LatencyClass.DRAM, LatencyClass.TEXTURE)
+        return self in _LONG_LATENCY
 
     @property
     def is_branch(self) -> bool:
@@ -187,6 +198,15 @@ _OPCODE_INFO = {
     Opcode.BRA: _OpcodeInfo(_A, _LA, False, 0, is_branch=True),
     Opcode.EXIT: _OpcodeInfo(_A, _LA, False, 0, is_exit=True),
 }
+
+
+#: Opcodes of a DRAM or texture latency class (strand partitioning asks
+#: every instruction).
+_LONG_LATENCY = frozenset(
+    opcode
+    for opcode, info in _OPCODE_INFO.items()
+    if info.latency in (LatencyClass.DRAM, LatencyClass.TEXTURE)
+)
 
 
 @dataclass(frozen=True)

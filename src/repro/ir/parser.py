@@ -24,10 +24,23 @@ Rules
 * Square brackets around operands (memory style) are decorative and are
   stripped.
 * ``#`` and ``;`` start comments.
+
+Cost
+----
+The allocation service parses every IR-text request twice, once to
+fingerprint it and once in the pool worker, so the parser keeps its
+per-operand work small: each token is stripped once, only a token that
+starts with ``R``/``r``/``P``/``p`` is tried as a register (an
+immediate never raises on the way to its number), and register tokens
+already seen come from a bounded table of :data:`REGISTER_TOKENS`
+parsed :class:`~repro.ir.registers.Register` values, which are frozen
+and so safe to share between kernels.  Errors carry the same messages
+whichever path a token takes.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import List, Optional, Tuple
 
 from ..obs.tracer import TRACER
@@ -57,6 +70,20 @@ class AsmSyntaxError(ValueError):
 
 
 _OPCODES = {op.value: op for op in Opcode}
+
+#: Distinct register tokens whose parsed value the parser keeps (each
+#: spelling is its own entry: ``R3`` and ``r3``).
+REGISTER_TOKENS = 512
+
+#: First characters of a token that may name a register.
+_REGISTER_INITIALS = frozenset("RrPp")
+
+
+@lru_cache(maxsize=REGISTER_TOKENS)
+def _register(token: str) -> Register:
+    """:func:`~repro.ir.registers.parse_register`, memoized by token (a
+    malformed token raises every time)."""
+    return parse_register(token)
 
 
 def parse_kernel(text: str) -> Kernel:
@@ -99,7 +126,7 @@ def _parse_kernels(text: str) -> List[Kernel]:
             )
         if line.startswith(".livein"):
             for token in line[len(".livein"):].replace(",", " ").split():
-                live_in.append(parse_register(token))
+                live_in.append(_register(token))
             builder.live_in = tuple(live_in)
             continue
         if line.endswith(":") and " " not in line:
@@ -133,7 +160,7 @@ def _parse_instruction(
         )
     operand_text = parts[1] if len(parts) > 1 else ""
     tokens = [
-        token.strip() for token in operand_text.split(",") if token.strip()
+        token for token in map(str.strip, operand_text.split(",")) if token
     ]
 
     target: Optional[str] = None
@@ -184,7 +211,7 @@ def _parse_guard(
         guard_sense = False
         guard_text = guard_text[1:]
     try:
-        guard = parse_register(guard_text)
+        guard = _register(guard_text)
     except ValueError as error:
         raise AsmSyntaxError(line_number, raw_line, str(error)) from error
     if not guard.is_pred:
@@ -197,14 +224,14 @@ def _parse_guard(
 def _parse_operand(
     token: str, line_number: int, raw_line: str
 ) -> Operand:
-    token = token.strip()
-    if token.startswith("[") and token.endswith("]"):
+    """One stripped, non-empty operand token: a register or an immediate."""
+    if token[0] == "[" and token[-1] == "]":
         token = token[1:-1].strip()
     try:
-        return parse_register(token)
-    except ValueError:
-        pass
-    try:
+        # No number starts with a register's letter, so a token that
+        # does is a register or nothing.
+        if token[:1] in _REGISTER_INITIALS:
+            return _register(token)
         if any(ch in token for ch in ".eE") and not token.isdigit():
             return Immediate(float(token))
         return Immediate(int(token, 0))

@@ -28,6 +28,11 @@ class RegClass(enum.Enum):
     #: 1-bit predicate register (never allocated to the hierarchy).
     PRED = "pred"
 
+    # Identity hash at C level, as ``repro.levels.Level`` has: every
+    # ``Register`` hash (the dataflow sets key on registers) hashes its
+    # class, and Enum's own ``hash(name)`` runs in Python.
+    __hash__ = object.__hash__
+
 
 #: Logical register widths supported by PTX in the paper's workloads.
 VALID_WIDTHS = (32, 64, 128)
@@ -82,16 +87,20 @@ class Register:
     @property
     def name(self) -> str:
         """Assembly name, e.g. ``R3``, ``RD4`` (64-bit), or ``P1``."""
-        if self.is_pred:
-            return f"P{self.index}"
-        if self.width == 64:
-            return f"RD{self.index}"
-        if self.width == 128:
-            return f"RQ{self.index}"
-        return f"R{self.index}"
+        return f"{_NAME_PREFIXES[self.reg_class, self.width]}{self.index}"
 
     def __str__(self) -> str:  # pragma: no cover - trivial
         return self.name
+
+
+#: Assembly-name prefix of each valid (class, width); a kernel's content
+#: fingerprint names every operand register.
+_NAME_PREFIXES = {
+    (RegClass.GPR, 32): "R",
+    (RegClass.GPR, 64): "RD",
+    (RegClass.GPR, 128): "RQ",
+    (RegClass.PRED, 32): "P",
+}
 
 
 def gpr(index: int, width: int = 32) -> Register:

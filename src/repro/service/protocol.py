@@ -29,6 +29,16 @@ kernel deduplicate), the canonical warp JSON, and the scheme — it is
 the key for in-flight dedup, the in-memory result memo, and the
 on-disk cache.
 
+Normalising runs on the server's event loop for every request the
+body-key memo misses, so it keeps per-request work small.  IR text is
+parsed here and again in the pool worker (the payload carries the
+text, not the kernel); :mod:`repro.ir.parser` keeps both parses cheap.
+A scheme's fingerprint comes from a table of the last
+:data:`SCHEME_FINGERPRINTS` distinct schemes, since a stream of
+requests names few of them and the recursive
+:func:`~repro.engine.hashing.dataclass_fingerprint` would otherwise
+run on each.
+
 A request also has a :func:`body_key`: SHA-256 of its op and raw body
 bytes, known before anything is decoded.  The server keys the stored
 bytes of a repeated body's reply on it.
@@ -41,6 +51,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.hashing import dataclass_fingerprint, digest, json_fingerprint
@@ -61,6 +72,9 @@ MAX_SCALE = 64.0
 #: worker occupancy the way MAX_WARP_INSTRUCTIONS bounds a trace walk.
 MAX_TUNE_BUDGET = 256
 MAX_TUNE_SEED = 2**32 - 1
+
+#: Distinct schemes whose fingerprint :func:`normalize_request` keeps.
+SCHEME_FINGERPRINTS = 256
 
 _SCHEME_KINDS = {kind.value: kind for kind in SchemeKind}
 _SCHEME_BOOL_FIELDS = (
@@ -197,6 +211,14 @@ def scheme_from_json(obj: Any) -> Scheme:
         return Scheme(kind, entries, **kwargs)
     except ValueError as error:
         raise BadRequest(str(error)) from None
+
+
+@lru_cache(maxsize=SCHEME_FINGERPRINTS)
+def _scheme_fingerprint(scheme: Scheme) -> str:
+    """:func:`~repro.engine.hashing.dataclass_fingerprint` of a scheme,
+    memoized by its value: a frozen dataclass of ints, bools and a kind,
+    so equal schemes have equal text."""
+    return dataclass_fingerprint(scheme)
 
 
 # -- warp codec ------------------------------------------------------------
@@ -403,7 +425,7 @@ def normalize_request(op: str, body: Any) -> ServiceJob:
                 "(kind 'sw' or 'sw_lrf')"
             )
         scheme_json = scheme_to_json(scheme)
-        work_fp = dataclass_fingerprint(scheme)
+        work_fp = _scheme_fingerprint(scheme)
 
     kernel_text = body.get("kernel")
     benchmark = body.get("benchmark")

@@ -37,7 +37,10 @@ so right after the fork it
   the worker has since reused.
 
 It then serves frames until its socket reads EOF and leaves through
-``os._exit``, never unwinding into the parent's stack.
+``os._exit``, never unwinding into the parent's stack.  A job that
+raises comes back as its exception, with the worker's formatted
+traceback attached as a note (``add_note``; a traceback does not
+pickle), so the server's log of a 500 names the frame that raised.
 """
 
 from __future__ import annotations
@@ -337,6 +340,12 @@ def _serve(sock: socket.socket) -> None:
             fn, args = pickle.loads(body)
             reply = pickle.dumps((True, fn(*args)), _PROTOCOL)
         except Exception as error:  # noqa: BLE001 - shipped to the caller
+            # A traceback does not pickle, but a note does: the caller's
+            # log of the fault then shows where the worker raised it.
+            error.add_note(
+                f"raised in pool worker {os.getpid()}:\n"
+                + traceback.format_exc().rstrip()
+            )
             reply = _error_reply(error)
         sock.sendall(_HEADER.pack(len(reply)) + reply)
 
@@ -358,4 +367,6 @@ def _error_reply(error: Exception) -> bytes:
         return pickle.dumps((False, error), _PROTOCOL)
     except Exception:  # noqa: BLE001 - an unpicklable exception
         described = RuntimeError(f"{type(error).__name__}: {error}")
+        for note in getattr(error, "__notes__", ()):
+            described.add_note(note)
         return pickle.dumps((False, described), _PROTOCOL)

@@ -1,5 +1,8 @@
-"""Execution substrate: functional executor, trace accounting, and the
-two-level warp scheduler timing model."""
+"""Execution substrate: functional executor and trace accounting.
+
+The two-level warp scheduler timing model is
+:mod:`repro.sim.scheduler`, imported by the studies that use it.
+"""
 
 from .accounting import (
     BaselineAccounting,
@@ -32,7 +35,6 @@ from .runner import (
     evaluate_traces,
     usage_histogram,
 )
-from .scheduler import ScheduleResult, active_warp_sweep, simulate_schedule
 from .schemes import (
     BEST_HW_THREE_LEVEL,
     BEST_HW_TWO_LEVEL,
@@ -56,7 +58,6 @@ __all__ = [
     "KernelEvaluation",
     "Memory",
     "PointLiveness",
-    "ScheduleResult",
     "Scheme",
     "SchemeKind",
     "SimParams",
@@ -66,7 +67,6 @@ __all__ = [
     "WarpExecutor",
     "WarpInput",
     "account_trace",
-    "active_warp_sweep",
     "build_divergent_traces",
     "build_traces",
     "evaluate_traces",
@@ -74,6 +74,5 @@ __all__ = [
     "run_divergent_warp",
     "run_warp",
     "shared_consumed_positions",
-    "simulate_schedule",
     "usage_histogram",
 ]

@@ -26,6 +26,9 @@ class SchemeKind(enum.Enum):
     SW_TWO_LEVEL = "sw"
     SW_THREE_LEVEL = "sw_lrf"
 
+    # Identity hash at C level, as ``repro.levels.Level`` has.
+    __hash__ = object.__hash__
+
     @property
     def is_software(self) -> bool:
         return self in (SchemeKind.SW_TWO_LEVEL, SchemeKind.SW_THREE_LEVEL)

@@ -37,6 +37,9 @@ class EndpointKind(enum.Enum):
     #: pending state; no deschedule, but ORF/LRF contents are unknown.
     MERGE = "merge"
 
+    # Identity hash at C level, as ``repro.levels.Level`` has.
+    __hash__ = object.__hash__
+
     @property
     def waits_for_pending(self) -> bool:
         """True if the warp waits for all pending long-latency events."""

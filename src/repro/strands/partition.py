@@ -21,8 +21,7 @@ strand begins, which keeps identities stable across iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Set, Tuple
 
 from ..analysis.cfg import ControlFlowGraph
 from ..ir.instructions import Instruction
@@ -33,8 +32,7 @@ from .model import EndpointKind, Strand, StrandAnchor, StrandPartition
 _MAX_ITERATIONS = 100
 
 
-@dataclass(frozen=True)
-class _EdgeState:
+class _EdgeState(NamedTuple):
     """Dataflow fact carried along one CFG edge."""
 
     #: Strand continuing along this edge; None if the source terminator
@@ -43,8 +41,7 @@ class _EdgeState:
     pending: FrozenSet[Register]
 
 
-@dataclass(frozen=True)
-class _EntryState:
+class _EntryState(NamedTuple):
     strand: StrandAnchor
     pending: FrozenSet[Register]
     cut: Optional[EndpointKind]
@@ -187,10 +184,13 @@ class _Partitioner:
         block = self.kernel.blocks[block_index]
 
         for instr_index, instruction in enumerate(block.instructions):
-            ref = self._refs[(block_index, instr_index)]
-            if not self.assume_persistent and self._depends_on_pending(
-                instruction, pending
+            # Nothing can depend on an empty pending set.
+            if (
+                pending
+                and not self.assume_persistent
+                and self._depends_on_pending(instruction, pending)
             ):
+                ref = self._refs[(block_index, instr_index)]
                 cuts[ref.position] = EndpointKind.LONG_LATENCY
                 strand = (block_index, instr_index)
                 pending.clear()
@@ -287,8 +287,9 @@ class _Partitioner:
         identical kernel clone can be stamped without re-partitioning.
         """
         ending: Set[int] = set()
-        for ref, instruction in self.kernel.instructions():
-            instruction.ends_strand = False
+        for block in self.kernel.blocks:
+            for instruction in block.instructions:
+                instruction.ends_strand = False
         for block_index, block in enumerate(self.kernel.blocks):
             for instr_index, instruction in enumerate(block.instructions):
                 ref = self._refs[(block_index, instr_index)]

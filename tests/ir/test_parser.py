@@ -10,7 +10,18 @@ from repro.ir import (
     parse_kernel,
     parse_kernels,
 )
+from repro.ir import parser as parser_module
 from repro.ir.registers import gpr, pred
+from repro.workloads.generators import generate_workload
+from repro.workloads.suites import all_workloads
+
+
+def _operand(token):
+    """The one source operand of ``mov R3, <token>`` (on line 4)."""
+    kernel = parse_kernel(
+        f".kernel k\n.livein R0\nentry:\n    mov R3, {token}\n    exit\n"
+    )
+    return kernel.blocks[0].instructions[0].srcs[0]
 
 
 class TestParsing:
@@ -79,6 +90,56 @@ class TestParsing:
         assert mov.dst == gpr(2, 64)
 
 
+class TestOperands:
+    @pytest.mark.parametrize(
+        "token,expected",
+        [
+            ("R5", gpr(5)),
+            ("r5", gpr(5)),
+            ("RD2", gpr(2, 64)),
+            ("rd2", gpr(2, 64)),
+            ("Rd2", gpr(2, 64)),
+            ("RQ1", gpr(1, 128)),
+            ("rq1", gpr(1, 128)),
+            ("P1", pred(1)),
+            ("p1", pred(1)),
+            ("[R0]", gpr(0)),
+            ("[ r0 ]", gpr(0)),
+        ],
+    )
+    def test_registers(self, token, expected):
+        assert _operand(token) == expected
+
+    @pytest.mark.parametrize(
+        "token,value",
+        [
+            ("7", 7),
+            ("+4", 4),
+            ("-3", -3),
+            ("0x1F", 31),
+            ("0X1f", 31),
+            ("0b101", 5),
+            ("[0x10]", 16),
+            ("2.5", 2.5),
+            ("-0.5", -0.5),
+            ("1e3", 1000.0),
+            ("1E3", 1000.0),
+        ],
+    )
+    def test_immediates(self, token, value):
+        operand = _operand(token)
+        assert isinstance(operand, Immediate)
+        assert type(operand.value) is type(value)
+        assert operand.value == value
+
+    def test_register_table_is_bounded(self):
+        bound = parser_module.REGISTER_TOKENS
+        assert parser_module._register.cache_info().maxsize == bound
+        names = " ".join(f"R{index}" for index in range(bound + 40))
+        parse_kernel(f".kernel k\n.livein {names}\nentry:\n exit\n")
+        assert parser_module._register.cache_info().currsize == bound
+
+
 class TestParseErrors:
     @pytest.mark.parametrize(
         "text",
@@ -97,6 +158,39 @@ class TestParseErrors:
     def test_syntax_errors(self, text):
         with pytest.raises(AsmSyntaxError):
             parse_kernels(text)
+
+    @pytest.mark.parametrize(
+        "token,operand",
+        [
+            ("[ ]", "''"),
+            ("R", "'R'"),
+            ("Rx", "'Rx'"),
+            ("E5", "'E5'"),
+            ("1.2.3", "'1.2.3'"),
+            ("R1x", "'R1x'"),
+            ("???", "'???'"),
+            ("p", "'p'"),
+            ("[R1", "'[R1'"),
+            ("inf", "'inf'"),
+        ],
+    )
+    def test_bad_operand_messages(self, token, operand):
+        with pytest.raises(AsmSyntaxError) as excinfo:
+            _operand(token)
+        assert str(excinfo.value) == (
+            f"line 4: cannot parse operand {operand}: 'mov R3, {token}'"
+        )
+        assert excinfo.value.line_number == 4
+
+    def test_bad_register_messages(self):
+        with pytest.raises(AsmSyntaxError) as excinfo:
+            parse_kernel(".kernel k\nentry:\n @Px bra entry\n exit\n")
+        assert str(excinfo.value) == (
+            "line 3: not a register name: 'Px': '@Px bra entry'"
+        )
+        with pytest.raises(ValueError) as excinfo:
+            parse_kernel(".kernel k\n.livein 9R1\nentry:\n exit\n")
+        assert str(excinfo.value) == "not a register name: '9R1'"
 
     def test_parse_kernel_rejects_multiple(self):
         # AsmSyntaxError (a ValueError) so every caller reports parse
@@ -124,6 +218,20 @@ class TestRoundTrip:
                 assert a.srcs == b.srcs
                 assert a.target == b.target
                 assert a.guard == b.guard
+
+
+    def test_reparse_keeps_the_content_fingerprint(self):
+        kernels = [spec.kernel for spec in all_workloads(1.0)]
+        kernels += [
+            generate_workload(seed, num_warps=1).kernel
+            for seed in range(200)
+        ]
+        for kernel in kernels:
+            reparsed = parse_kernel(format_kernel(kernel))
+            assert (
+                reparsed.content_fingerprint()
+                == kernel.content_fingerprint()
+            ), kernel.name
 
 
 class TestAnnotatedPrinting:

@@ -121,6 +121,18 @@ def test_normalize_fingerprint_dedups_respellings():
     }
     fp = normalize_request("evaluate", base).fingerprint
     assert fp == normalize_request("evaluate", respelled).fingerprint
+    # Lower-case register names, bracketed operands and hex immediates.
+    for kernel in (
+        LOADGEN_KERNEL.replace("R", "r").replace("P0", "p0"),
+        LOADGEN_KERNEL.replace("ffma R4, R3, R1, R2",
+                               "ffma [R4], [R3], R1, [ R2 ]"),
+        LOADGEN_KERNEL.replace("iadd R0, R0, 4", "iadd R0, R0, 0x4")
+        .replace("mov R5, 0", "mov R5, 0X0"),
+    ):
+        assert kernel != LOADGEN_KERNEL
+        assert fp == normalize_request(
+            "evaluate", {"kernel": kernel, "scheme": SW_JSON}
+        ).fingerprint
     other_scheme = dict(SW_JSON, entries_per_thread=4)
     assert fp != normalize_request(
         "evaluate", {"kernel": LOADGEN_KERNEL, "scheme": other_scheme}

@@ -32,7 +32,7 @@ from repro.obs.tracer import TRACER
 from repro.service.httpd import json_response
 from repro.service.loadgen import LOADGEN_KERNEL
 from repro.service.pipeline import run_service_job
-from repro.service.protocol import normalize_request
+from repro.service.protocol import KernelExecutionError, normalize_request
 from repro.service.server import ServiceConfig, ServiceServer
 from repro.service.workers import WorkerPool
 
@@ -120,6 +120,41 @@ def test_pool_moves_large_frames_queues_calls_and_ships_faults():
     for pid in asyncio.run(drive()):
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # reaped by close()
+
+
+def _raise_in_worker(fault):
+    raise fault
+
+
+def test_a_worker_fault_comes_back_with_the_worker_traceback():
+    """A traceback does not pickle; the worker attaches its text as a
+    note, so the log of a 500 names the frame that raised.  A typed
+    fault keeps its status and message."""
+    async def drive(fault):
+        pool = WorkerPool(1)
+        pool.start()
+        try:
+            await pool.call(_raise_in_worker, fault)
+        finally:
+            await pool.close()
+
+    with pytest.raises(RuntimeError) as excinfo:
+        asyncio.run(drive(RuntimeError("boom: raised in the worker")))
+    assert str(excinfo.value) == "boom: raised in the worker"
+    (note,) = excinfo.value.__notes__
+    assert note.startswith("raised in pool worker ")
+    assert "Traceback (most recent call last)" in note
+    assert ", in _raise_in_worker\n" in note
+    assert note.endswith("RuntimeError: boom: raised in the worker")
+
+    with pytest.raises(KernelExecutionError) as excinfo:
+        asyncio.run(drive(KernelExecutionError("no such value")))
+    assert excinfo.value.status == 422
+    assert str(excinfo.value) == "no such value"
+    assert excinfo.value.to_payload() == {"error": {
+        "type": "kernel_execution_error", "message": "no such value",
+    }}
+    assert ", in _raise_in_worker\n" in excinfo.value.__notes__[0]
 
 
 def test_process_pool_replies_match_the_pipeline_then_drain_clean():

@@ -22,12 +22,17 @@ class TestVersion:
 
 
 #: Packages no served job runs: the figure drivers and studies, the
-#: compiler stages, the bench harness and the shadow verifiers.
+#: compiler stages, the bench harness, the shadow verifiers, and the
+#: scheduler timing, chip power and encoding models (the studies'
+#: own submodules, which the packages above them do not re-export).
 NOT_SERVED = (
     "repro.experiments",
     "repro.compiler",
     "repro.bench",
     "repro.sim.verify",
+    "repro.sim.scheduler",
+    "repro.energy.chip_power",
+    "repro.energy.encoding",
 )
 
 
